@@ -29,6 +29,7 @@ from .models import (
     DEFAULT_TOL,
     LinearMap,
     Model,
+    NumericError,
     Oracle,
     OracleCheck,
     SectorSpace,
@@ -64,11 +65,15 @@ from .search import (
     analytic_crossing_floor,
     check_lower_bound,
     check_upper_bound,
+    default_k_max,
+    grover_schedule,
     make_schedule,
     oracle_displacement,
     progress_measures,
     quantum_grover_report,
+    random_schedule,
     reflection_about,
+    reflection_schedule,
     run_search,
     scaling_sweep,
     success_probability,

@@ -3,7 +3,8 @@
 Every run is reproducible from its flags alone: all randomness is seeded,
 output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
-1 a checked bound or identity failed, 2 usage error.
+1 a checked bound or identity failed, or a numeric check failed during a run
+(a non-reversible schedule step, norm drift), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ._version import __version__
 from .models import (
     LinearMap,
     Model,
+    NumericError,
     classical_model,
     coherence_projector,
     interference_order,
@@ -478,10 +480,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+        return CHECK_FAILED
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -63,9 +63,17 @@ __all__ = [
     "coherence_from_slit_projectors",
     "interference_order",
     "DEFAULT_TOL",
+    "NumericError",
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+class NumericError(ValueError):
+    """A numeric check failed on valid input (a non-reversible step, norm drift).
+
+    Subclasses ValueError so that callers catching ValueError keep working.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +225,9 @@ class LinearMap:
         if self._diag is not None:
             return float(np.max(np.abs(self._diag**2 - 1.0)))
         m = self._matrix
-        return float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
+        gram = m.T @ m
+        gram.flat[:: m.shape[0] + 1] -= 1.0
+        return float(np.max(np.abs(gram, out=gram)))
 
     def __repr__(self) -> str:
         kind = "diag" if self._diag is not None else "dense"

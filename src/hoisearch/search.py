@@ -8,10 +8,13 @@ distance between the two trajectory families), its schedule-independent
 ceiling ``4 h k^2``, the companion distances to the target states, and the
 finite-N floor that any successful run must have climbed above.
 
-Quantum runs with the standard amplitude-amplification schedule have a fast
-path that simulates N-dimensional amplitudes directly; it is exactly
-equivalent to the dense sector-coordinate simulation (the embedding is an
-isometry) and is cross-checked against it in the test suite.
+Quantum runs with the standard amplitude-amplification schedule have an
+exact closed-form report, ``quantum_grover_report``: from the uniform start
+every marked trajectory is a rotation in a two-dimensional plane and the
+oracle-free control never moves, so each measure is a trigonometric function
+of k, computed in O(k) time and memory. The test suite cross-checks it
+against the dense sector-coordinate simulation and against a direct
+amplitude simulation.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .models import (
     DEFAULT_TOL,
     LinearMap,
     Model,
+    NumericError,
     StateVector,
     classical_model,
     haar_orthogonal,
@@ -109,7 +113,7 @@ SWEEP_CSV_COLUMNS = (
 )
 
 # Dense sector simulation of the quantum model costs O(N^2) coordinates; above
-# this the amplitude fast path takes over for the standard quantum schedule.
+# this the closed-form report takes over for the standard quantum schedule.
 QUANTUM_DENSE_LIMIT = 32
 
 
@@ -287,8 +291,10 @@ def run_search(
     Each query applies the marked item's sign-flip oracle and then the
     schedule step, exactly as the search experiment prescribes. Steps are
     required to be reversible: small spaces get a full orthogonality check
-    (cached per distinct step object), large ones a per-step norm-drift check
-    on every evolved state, which is the property the bounds actually use.
+    (skipped only when a step is the very object checked at the step before),
+    large ones a per-step norm-drift check on every evolved state, which is
+    the property the bounds actually use. Either failure raises
+    ``NumericError``.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -315,26 +321,28 @@ def run_search(
     batch = np.tile(start_state.coords, (n_marked + 1, 1))
     start_norms = np.linalg.norm(batch, axis=1)
     drift_tol = max(tol, 1e-10)
-    checked_steps: set[int] = set()
+    # holding the checked step keeps it alive, so a fresh step can never be
+    # mistaken for it (an id() would be reused once the step is freed)
+    last_checked: LinearMap | None = None
 
     for k in range(1, k_max + 1):
         step = schedule.step(k)
         if step.space != model.space:
             raise ValueError(f"schedule step {k} lives on a different space")
         small = m_dim <= 512
-        if small and id(step) not in checked_steps:
+        if small and step is not last_checked:
             defect = step.orthogonality_defect()
             if defect > tol:
-                raise ValueError(
+                raise NumericError(
                     f"schedule step {k} is not reversible "
                     f"(orthogonality defect {defect:.3e} > {tol:.1e})"
                 )
-            checked_steps.add(id(step))
+            last_checked = step
         batch = step.apply_rows(batch * oracle_diags)
         if not small:
             drift = float(np.max(np.abs(np.linalg.norm(batch, axis=1) - start_norms)))
             if drift > drift_tol:
-                raise ValueError(
+                raise NumericError(
                     f"schedule step {k} is not norm preserving "
                     f"(drift {drift:.3e} > {drift_tol:.1e})"
                 )
@@ -371,7 +379,7 @@ class ProgressReport:
     seed: int | None
     n_slits: int
     order: int
-    marked: tuple[int, ...]
+    marked: Sequence[int]
     k: np.ndarray
     divergence: np.ndarray
     upper_bound: np.ndarray
@@ -466,44 +474,46 @@ def _seed_from_schedule_name(name: str) -> int | None:
 
 
 def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
-    """Fast exact path for the quantum model under the standard schedule.
+    """Exact report for the quantum model under the standard schedule, in O(k).
 
-    Simulates the N real amplitude vectors directly (one trajectory per
-    marked item plus the oracle-free control) and converts overlaps to
-    sector-coordinate distances through the embedding identities for pure
-    states: ``<emb a, emb b> = <a, b>^2`` and
-    ``||emb a - emb b||^2 = 2 (1 - <a, b>^2)``.
+    From the uniform start ``u`` the trajectory with item x marked stays in
+    ``span{|x>, u}`` and after k queries is the pure state
+    ``sin((2k+1) t) |x> + cos((2k+1) t) |x_perp>`` with ``t = asin(1/sqrt N)``
+    (Boyer, Brassard, Hoyer, Tapp, arXiv quant-ph/9605034); the oracle-free
+    control stays at ``u``, which the diffusion fixes. Every marked item gives
+    a relabelled copy of the same trajectory, and the embedding identity for
+    pure states, ``||emb a - emb b||^2 = 2 (1 - <a, b>^2)``, turns the overlaps
+    into sector-coordinate distances:
+
+    * per-item success ``sin^2((2k+1) t)``,
+    * ``D_k = 2 N sin^2(2 k t)``,
+    * ``E_k = 2 N cos^2((2k+1) t)``,
+    * ``F_k = 2 (N - 1)``.
+
+    ``success`` is a read-only broadcast view of shape ``(k_max + 1, N)``, so
+    time and memory are O(k) whatever N is.
     """
     if n_items < 2:
         raise ValueError(f"need at least 2 items, got {n_items}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
-    u = np.full(n, 1.0 / math.sqrt(n))
-    psi = np.tile(u[:, None], (1, n))  # column x: trajectory with item x marked
-    phi = u.copy()
-    idx = np.arange(n)
-
-    succ = np.empty((k_max + 1, n))
-    fid_free = np.empty((k_max + 1, n))
-    phi_at_targets = np.empty((k_max + 1, n))
-    succ[0] = psi[idx, idx] ** 2
-    fid_free[0] = (phi @ psi) ** 2
-    phi_at_targets[0] = phi**2
-
-    for k in range(1, k_max + 1):
-        diag = psi[idx, idx]
-        psi[idx, idx] = -diag  # the query: flip the marked amplitude
-        psi = 2.0 * np.outer(u, u @ psi) - psi  # inversion about uniform
-        phi = 2.0 * u * float(u @ phi) - phi
-        succ[k] = psi[idx, idx] ** 2
-        fid_free[k] = (phi @ psi) ** 2
-        phi_at_targets[k] = phi**2
-
+    start = 1.0 / n
+    theta = math.asin(math.sqrt(start))
     ks = np.arange(k_max + 1)
-    divergence = 2.0 * np.sum(1.0 - fid_free, axis=1)
-    gap_with = 2.0 * np.sum(1.0 - succ, axis=1)
-    gap_without = 2.0 * np.sum(1.0 - phi_at_targets, axis=1)
+    turn = 2.0 * theta * ks  # angle between each marked trajectory and u
+    turn_sq = np.sin(turn) ** 2
+    # sin^2(theta + turn) expanded about the start, so that k = 0 gives the
+    # start's success 1/N exactly: at N = 2 every k sits exactly on 1/2, and
+    # one ulp below would turn the crossing k* = 0 into "saturated"
+    per_item = (
+        start
+        + (1.0 - 2.0 * start) * turn_sq
+        + math.sqrt(start * (1.0 - start)) * np.sin(2.0 * turn)
+    )
+    divergence = 2.0 * n * turn_sq
+    gap_with = 2.0 * n * np.cos(theta + turn) ** 2
+    gap_without = np.full(k_max + 1, 2.0 * (n - 1))
     pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2
 
     descriptor = {
@@ -518,14 +528,14 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
         seed=None,
         n_slits=n,
         order=2,
-        marked=tuple(range(n)),
+        marked=range(n),
         k=ks,
         divergence=divergence,
         upper_bound=8.0 * ks.astype(float) ** 2,
         gap_with_oracle=gap_with,
         gap_without_oracle=gap_without,
         pair_lower_bound=pair_lower,
-        success=succ,
+        success=np.broadcast_to(per_item[:, None], (k_max + 1, n)),
     )
 
 

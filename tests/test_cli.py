@@ -140,6 +140,15 @@ def test_sweep_classical_all_saturated(capsys):
     assert "n/a" in out
 
 
+def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "bound", "--model", "quantum", "--n", "4",
+        "--strategy", "random", "--seeds", "1,", "--tol", "1e-20",
+    )
+    assert code == 1
+    assert "step 1 is not reversible" in err
+
+
 def test_usage_error_on_bad_n_list(capsys):
     code, _, err = run_cli(capsys, "sweep", "--model", "quantum", "--n", "4,x")
     assert code == 2

@@ -2,21 +2,27 @@
 
 Quantum expectations are frozen from the independent closed-form route: with
 t = arcsin(1/sqrt(N)), per-item success after k queries is sin((2k+1) t)^2
-and the divergence is 2 N sin(2 k t)^2. The simulation never sees these
-formulas; they only gate its output here.
+and the divergence is 2 N sin(2 k t)^2. The dense simulation never sees
+these formulas; they gate its output here. The closed-form report
+``quantum_grover_report`` is built from them, so it is cross-checked against
+the dense route and against a direct amplitude simulation kept below as the
+reference.
 """
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hoisearch.models import (
     LinearMap,
+    NumericError,
     StateVector,
     classical_model,
     coherence_projector,
+    haar_orthogonal,
     lift_unitary_conjugation,
     quantum_model,
     sign_flip_oracle,
@@ -27,6 +33,7 @@ from hoisearch.search import (
     check_lower_bound,
     check_upper_bound,
     constant_schedule,
+    Schedule,
     diffusion_unitary,
     default_k_max,
     grover_schedule,
@@ -51,6 +58,40 @@ from hoisearch.search import (
 def grover_run(n, k_max):
     model = quantum_model(n)
     return model, progress_measures(model, run_search(model, grover_schedule(model), k_max))
+
+
+def amplitude_grover_reference(n, k_max):
+    """Direct simulation of the N real amplitude vectors, O(N^2 k).
+
+    One column per marked item plus the oracle-free control; overlaps become
+    sector-coordinate distances through the pure-state embedding identities
+    ``<emb a, emb b> = <a, b>^2`` and ``||emb a - emb b||^2 = 2 (1 - <a, b>^2)``.
+    Returns (success, D_k, E_k, F_k).
+    """
+    u = np.full(n, 1.0 / math.sqrt(n))
+    psi = np.tile(u[:, None], (1, n))  # column x: trajectory with item x marked
+    phi = u.copy()
+    idx = np.arange(n)
+
+    succ = np.empty((k_max + 1, n))
+    fid_free = np.empty((k_max + 1, n))
+    phi_at_targets = np.empty((k_max + 1, n))
+    succ[0] = psi[idx, idx] ** 2
+    fid_free[0] = (phi @ psi) ** 2
+    phi_at_targets[0] = phi**2
+
+    for k in range(1, k_max + 1):
+        psi[idx, idx] = -psi[idx, idx]  # the query: flip the marked amplitude
+        psi = 2.0 * np.outer(u, u @ psi) - psi  # inversion about uniform
+        phi = 2.0 * u * float(u @ phi) - phi
+        succ[k] = psi[idx, idx] ** 2
+        fid_free[k] = (phi @ psi) ** 2
+        phi_at_targets[k] = phi**2
+
+    divergence = 2.0 * np.sum(1.0 - fid_free, axis=1)
+    gap_with = 2.0 * np.sum(1.0 - succ, axis=1)
+    gap_without = 2.0 * np.sum(1.0 - phi_at_targets, axis=1)
+    return succ, divergence, gap_with, gap_without
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +187,23 @@ def test_classical_oracle_never_separates_trajectories():
 def test_run_search_rejects_irreversible_steps():
     model = quantum_model(3)
     bad = constant_schedule(LinearMap(model.space, 2.0 * np.eye(9)), "bad")
-    with pytest.raises(ValueError, match="not reversible"):
+    with pytest.raises(NumericError, match="not reversible"):
         run_search(model, bad, 1)
+
+
+def test_run_search_checks_every_fresh_step():
+    # fresh Haar steps, one of them scaled off the orthogonal group; freed
+    # steps hand their id() to later ones, so an id-keyed cache skipped this
+    for model in (quantum_model(4), synthetic_model(8, 3)):
+        dim = model.space.total_dim
+        for bad_k in (1, 4, 8, 13, 20):
+            def step_fn(index, bad_k=bad_k, dim=dim, space=model.space):
+                rng = np.random.default_rng((5, index))
+                scale = 1.01 if index == bad_k else 1.0
+                return LinearMap(space, scale * haar_orthogonal(dim, rng))
+
+            with pytest.raises(NumericError, match=f"step {bad_k} is not reversible"):
+                run_search(model, Schedule("scaled", step_fn), 20)
 
 
 def test_run_search_marked_subset_and_accessors():
@@ -194,18 +250,60 @@ def test_quantum_success_and_divergence_match_trigonometry():
 
 
 def test_fast_path_matches_dense_simulation():
-    for n in (4, 8):
+    for n in range(2, 17):
         _, dense = grover_run(n, default_k_max(n))
         fast = quantum_grover_report(n, default_k_max(n))
         for attr in (
+            "k",
             "divergence",
             "upper_bound",
             "gap_with_oracle",
             "gap_without_oracle",
             "pair_lower_bound",
+            "success",
         ):
-            assert getattr(dense, attr) == pytest.approx(getattr(fast, attr), abs=1e-9)
-        assert dense.success == pytest.approx(fast.success, abs=1e-9)
+            assert getattr(dense, attr) == pytest.approx(getattr(fast, attr), abs=1e-9), (n, attr)
+        assert (fast.descriptor, fast.strategy, fast.seed, fast.n_slits, fast.order) == (
+            dense.descriptor, dense.strategy, dense.seed, dense.n_slits, dense.order
+        )
+        assert tuple(fast.marked) == dense.marked
+        # at N = 2 the success is exactly 1/2 at every k: crossing at k = 0
+        assert fast.first_crossing() == dense.first_crossing(), n
+        assert fast.first_peak() == dense.first_peak(), n
+
+
+def test_fast_path_matches_amplitude_simulation():
+    eps = np.finfo(float).eps
+    for n in (33, 64, 257, 1000):
+        k_max = 3 * default_k_max(n)
+        succ, divergence, gap_with, gap_without = amplitude_grover_reference(n, k_max)
+        fast = quantum_grover_report(n, k_max)
+        # each reference step rounds a length-N dot product of unit vectors
+        # (error <= N eps per amplitude), accumulated over k_max steps; every
+        # per-item term lies in [0, 2], so the sums over N items get 2N times that
+        per_term = k_max * n * eps
+        assert np.max(np.abs(fast.success - succ)) <= per_term, n
+        for name, ref, got in (
+            ("D_k", divergence, fast.divergence),
+            ("E_k", gap_with, fast.gap_with_oracle),
+            ("F_k", gap_without, fast.gap_without_oracle),
+        ):
+            assert np.max(np.abs(got - ref)) <= 2 * n * per_term, (n, name)
+        ref_series = succ.min(axis=1)
+        ref_crossing = np.nonzero(ref_series >= 0.5)[0][0]
+        ref_peak = np.nonzero(np.diff(ref_series) < -1e-12)[0][0]
+        assert fast.first_crossing() == ref_crossing, n
+        assert fast.first_peak() == ref_peak, n
+
+
+def test_fast_path_is_o_k_at_a_million_items():
+    n = 10**6
+    started = time.perf_counter()
+    report = quantum_grover_report(n, default_k_max(n))
+    assert time.perf_counter() - started < 1.0
+    assert report.success.shape == (default_k_max(n) + 1, n)
+    assert not report.success.flags.writeable
+    assert report.success.strides[1] == 0  # one column of storage, not N
 
 
 def test_pure_state_distance_identity():
