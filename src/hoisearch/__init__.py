@@ -34,6 +34,7 @@ from .models import (
     OracleCheck,
     SectorSpace,
     StateVector,
+    build_model,
     build_sector_space,
     classical_model,
     coherence_from_slit_projectors,
@@ -44,9 +45,7 @@ from .models import (
     lift_superoperator,
     lift_unitary_conjugation,
     model_from_descriptor,
-    norm,
     quantum_model,
-    random_reversible,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
@@ -74,6 +73,7 @@ from .search import (
     random_schedule,
     reflection_about,
     reflection_schedule,
+    run_experiment,
     run_search,
     scaling_sweep,
     success_probability,

@@ -1,5 +1,6 @@
 """Command-line front end: verify / search / bound / sweep.
 
+`search`, `bound` and `sweep` get every report from `search.run_experiment`.
 Every run is reproducible from its flags alone: all randomness is seeded,
 output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
@@ -19,6 +20,7 @@ from .models import (
     LinearMap,
     Model,
     NumericError,
+    build_model,
     classical_model,
     coherence_projector,
     interference_order,
@@ -30,21 +32,14 @@ from .models import (
     coherence_orthogonality_defects,
 )
 from .search import (
-    ProgressReport,
     check_lower_bound,
     check_upper_bound,
-    default_k_max,
-    default_strategy,
-    make_schedule,
-    progress_measures,
-    quantum_grover_report,
     reports_to_json,
-    run_search,
+    run_experiment,
     scaling_sweep,
     sweep_to_json,
     write_report_csv,
     write_sweep_csv,
-    QUANTUM_DENSE_LIMIT,
 )
 from .subsets import (
     SignedSubsetCombination,
@@ -81,21 +76,11 @@ def _parse_seeds(text: str) -> list[int]:
     return values
 
 
-def _build_model(kind: str, n: int, order: int | None) -> Model:
-    if kind == "classical":
-        if order not in (None, 1):
-            raise UsageError("the classical model has order 1; omit --h")
-        return classical_model(n)
-    if kind == "quantum":
-        if order not in (None, 2):
-            raise UsageError("the quantum model has order 2; omit --h")
-        return quantum_model(n)
-    if kind == "synthetic":
-        h = 3 if order is None else order
-        if h > n:
-            raise UsageError(f"h exceeds N: h={h}, N={n}")
-        return synthetic_model(n, h)
-    raise UsageError(f"unknown model kind {kind!r}")
+def _order(args: argparse.Namespace) -> int | None:
+    """`--h`, with the documented default of 3 for synthetic models."""
+    if args.h is None and args.model == "synthetic":
+        return 3
+    return args.h
 
 
 def _single_n(values: list[int], command: str) -> int:
@@ -215,10 +200,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None:
         n = _single_n(_parse_int_list(args.n), "verify --n")
         h = args.h if args.h is not None else min(n, 3)
-        if h > n:
-            raise UsageError(f"h exceeds N: h={h}, N={n}")
+        model = build_model("synthetic", n, h)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
-        rows.extend(_verify_model_cell(synthetic_model(n, h), f"synthetic N={n} h={h}", tol, args.corrupt))
+        rows.extend(_verify_model_cell(model, f"synthetic N={n} h={h}", tol, args.corrupt))
     else:
         n_max = args.n_max
         if n_max < 1:
@@ -264,28 +248,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # search / bound
 # ---------------------------------------------------------------------------
 
-def _run_one(
-    kind: str,
-    n: int,
-    order: int | None,
-    strategy: str,
-    seed: int,
-    k_max: int,
-    tol: float,
-) -> ProgressReport:
-    if kind == "quantum" and strategy == "grover" and n > QUANTUM_DENSE_LIMIT:
-        return quantum_grover_report(n, k_max)
-    model = _build_model(kind, n, order)
-    schedule = make_schedule(model, strategy, seed)
-    return progress_measures(model, run_search(model, schedule, k_max, tol=tol))
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     n = _single_n(_parse_int_list(args.n), "search")
-    strategy = args.strategy or default_strategy(args.model)
     seeds = _parse_seeds(args.seeds)
-    k_max = args.k_max if args.k_max is not None else default_k_max(n)
-    report = _run_one(args.model, n, args.h, strategy, seeds[0], k_max, args.tol)
+    report = run_experiment(
+        args.model, n, args.strategy,
+        order=_order(args), seed=seeds[0], k_max=args.k_max, tol=args.tol,
+    )
+    k_max = int(report.k[-1])
 
     print(f"model={args.model} N={n} h={report.order} strategy={report.strategy} k_max={k_max}")
     print(f"{'k':>4}  {'success_mean':>12}  {'success_min':>12}  {'D_k':>12}  {'4hk^2':>10}")
@@ -310,16 +280,17 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     n = _single_n(_parse_int_list(args.n), "bound")
-    strategy = args.strategy or default_strategy(args.model)
     seeds = _parse_seeds(args.seeds)
-    if strategy != "random":
+    if args.strategy != "random":  # no family defaults to a random schedule
         seeds = seeds[:1]
-    k_max = args.k_max if args.k_max is not None else default_k_max(n)
 
     reports = []
     all_ok = True
     for seed in seeds:
-        report = _run_one(args.model, n, args.h, strategy, seed, k_max, args.tol)
+        report = run_experiment(
+            args.model, n, args.strategy,
+            order=_order(args), seed=seed, k_max=args.k_max, tol=args.tol,
+        )
         reports.append(report)
         upper = check_upper_bound(report)
         lower = check_lower_bound(report)
@@ -349,13 +320,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ns = _parse_int_list(args.n)
     if not ns:
         raise UsageError("sweep needs at least one N in --n")
-    strategy = args.strategy or default_strategy(args.model)
     seeds = _parse_seeds(args.seeds)
     result = scaling_sweep(
         args.model,
         ns,
-        strategy,
-        order=args.h,
+        args.strategy,
+        order=_order(args),
         seed=seeds[0],
         k_max=args.k_max,
         tol=args.tol,

@@ -43,6 +43,7 @@ __all__ = [
     "classical_model",
     "quantum_model",
     "synthetic_model",
+    "build_model",
     "model_from_descriptor",
     "coherence_projector",
     "slit_projector",
@@ -52,10 +53,8 @@ __all__ = [
     "unembed_density",
     "lift_superoperator",
     "lift_unitary_conjugation",
-    "random_reversible",
     "haar_orthogonal",
     "inner",
-    "norm",
     "coherence_completeness_defect",
     "verify_coherence_completeness",
     "coherence_orthogonality_defects",
@@ -130,19 +129,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        _check_same_space(self.space, other.space)
-        return StateVector(self.space, self.coords - other.coords)
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        _check_same_space(self.space, other.space)
-        return StateVector(self.space, self.coords + other.coords)
-
-    def __mul__(self, scalar: float) -> "StateVector":
-        return StateVector(self.space, self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
 
 class LinearMap:
     """A real linear map on a sector space.
@@ -182,10 +168,6 @@ class LinearMap:
     def identity(cls, space: SectorSpace) -> "LinearMap":
         return cls(space, diag=np.ones(space.total_dim))
 
-    @classmethod
-    def zero(cls, space: SectorSpace) -> "LinearMap":
-        return cls(space, diag=np.zeros(space.total_dim))
-
     @property
     def diagonal(self) -> np.ndarray | None:
         """The diagonal if the map is stored diagonally, else None."""
@@ -214,11 +196,6 @@ class LinearMap:
         if self._diag is not None and other._diag is not None:
             return LinearMap(self.space, diag=self._diag * other._diag)
         return LinearMap(self.space, self.matrix @ other.matrix)
-
-    def transpose(self) -> "LinearMap":
-        if self._diag is not None:
-            return self
-        return LinearMap(self.space, self._matrix.T)
 
     def orthogonality_defect(self) -> float:
         """Max-abs deviation of T^t T from the identity (0 iff norm preserving)."""
@@ -412,21 +389,44 @@ def synthetic_model(
     return Model("synthetic", space, tuple(basis), uniform)
 
 
+def build_model(
+    kind: str,
+    n_slits: int,
+    order: int | None = None,
+    dims_per_size: Mapping[int, int] | None = None,
+) -> Model:
+    """Build a model of one family, checking the family/order pair.
+
+    Classical and quantum models have a fixed order (1 and 2), so ``order``
+    may be omitted or must equal it; synthetic models need an explicit
+    ``order`` of at most ``n_slits``. ``dims_per_size`` sets the synthetic
+    block dimensions; the classical and quantum layouts are fixed.
+    """
+    if kind == "classical":
+        if order not in (None, 1):
+            raise ValueError("the classical model has order 1; omit --h")
+        return classical_model(n_slits)
+    if kind == "quantum":
+        if order not in (None, 2):
+            raise ValueError("the quantum model has order 2; omit --h")
+        return quantum_model(n_slits)
+    if kind == "synthetic":
+        if order is None:
+            raise ValueError("synthetic models need an explicit order")
+        if order > n_slits:
+            raise ValueError(f"h exceeds N: h={order}, N={n_slits}")
+        return synthetic_model(n_slits, order, dims_per_size)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def model_from_descriptor(descriptor: Mapping | str) -> Model:
     """Rebuild a model from `Model.descriptor` output (dict or JSON text)."""
     if isinstance(descriptor, str):
         descriptor = json.loads(descriptor)
-    kind = descriptor["kind"]
-    n = int(descriptor["n_slits"])
-    if kind == "classical":
-        return classical_model(n)
-    if kind == "quantum":
-        return quantum_model(n)
-    if kind == "synthetic":
-        order = int(descriptor["order"])
-        dims = {int(k): int(v) for k, v in descriptor["dims_per_size"].items()}
-        return synthetic_model(n, order, dims)
-    raise ValueError(f"unknown model kind {kind!r}")
+    dims = {int(k): int(v) for k, v in descriptor["dims_per_size"].items()}
+    return build_model(
+        descriptor["kind"], int(descriptor["n_slits"]), int(descriptor["order"]), dims
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +617,6 @@ def inner(left: StateVector, right: StateVector) -> float:
     return float(np.dot(left.coords, right.coords))
 
 
-def norm(state: StateVector) -> float:
-    return state.norm()
-
-
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform orthogonal matrix (QR of a Gaussian, sign-fixed)."""
     a = rng.standard_normal((dim, dim))
@@ -628,12 +624,6 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def random_reversible(model: Model, seed: int) -> LinearMap:
-    """A seeded uniformly-random orthogonal map on the model's space."""
-    rng = np.random.default_rng(seed)
-    return LinearMap(model.space, haar_orthogonal(model.space.total_dim, rng))
 
 
 def _projector_family(

@@ -8,13 +8,15 @@ distance between the two trajectory families), its schedule-independent
 ceiling ``4 h k^2``, the companion distances to the target states, and the
 finite-N floor that any successful run must have climbed above.
 
-Quantum runs with the standard amplitude-amplification schedule have an
-exact closed-form report, ``quantum_grover_report``: from the uniform start
-every marked trajectory is a rotation in a two-dimensional plane and the
-oracle-free control never moves, so each measure is a trigonometric function
-of k, computed in O(k) time and memory. The test suite cross-checks it
-against the dense sector-coordinate simulation and against a direct
-amplitude simulation.
+``run_experiment`` is the one path from an experiment spec (family, N, h,
+strategy, seed, k_max) to a report; sweeps and the CLI go through it. For
+quantum runs with the standard amplitude-amplification schedule above
+``QUANTUM_DENSE_LIMIT`` items it takes the exact closed-form report,
+``quantum_grover_report``: from the uniform start every marked trajectory is
+a rotation in a two-dimensional plane and the oracle-free control never
+moves, so each measure is a trigonometric function of k, computed in O(k)
+time and memory. The test suite cross-checks it against the dense
+sector-coordinate simulation and against a direct amplitude simulation.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ from .models import (
     Model,
     NumericError,
     StateVector,
-    classical_model,
+    build_model,
     haar_orthogonal,
     inner,
     lift_unitary_conjugation,
-    quantum_model,
     sign_flip_oracle,
-    synthetic_model,
 )
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "run_search",
     "progress_measures",
     "quantum_grover_report",
+    "run_experiment",
     "check_upper_bound",
     "analytic_crossing_floor",
     "check_lower_bound",
@@ -191,6 +192,7 @@ class Schedule:
 
     name: str
     step_fn: Callable[[int], LinearMap]
+    seed: int | None = None  # random schedules only
 
     def step(self, index: int) -> LinearMap:
         if index < 1:
@@ -224,7 +226,7 @@ def random_schedule(model: Model, seed: int) -> Schedule:
         rng = np.random.default_rng((int(seed), int(index)))
         return LinearMap(space, haar_orthogonal(dim, rng))
 
-    return Schedule(f"random:{seed}", step_fn)
+    return Schedule(f"random:{seed}", step_fn, seed=int(seed))
 
 
 def make_schedule(model: Model, strategy: str, seed: int = 0) -> Schedule:
@@ -259,7 +261,7 @@ class TrajectoryPair:
     """
 
     model: Model
-    schedule_name: str
+    schedule: Schedule
     marked: tuple[int, ...]
     start: StateVector
     states_with_oracle: np.ndarray  # (k_max + 1, n_marked, M)
@@ -351,7 +353,7 @@ def run_search(
 
     return TrajectoryPair(
         model=model,
-        schedule_name=schedule.name,
+        schedule=schedule,
         marked=marked_items,
         start=start_state.copy(),
         states_with_oracle=with_states,
@@ -387,14 +389,8 @@ class ProgressReport:
     gap_without_oracle: np.ndarray
     pair_lower_bound: np.ndarray
     success: np.ndarray  # (k_max + 1, n_marked)
-
-    @property
-    def success_mean(self) -> np.ndarray:
-        return self.success.mean(axis=1)
-
-    @property
-    def success_min(self) -> np.ndarray:
-        return self.success.min(axis=1)
+    success_mean: np.ndarray  # mean over the marked items, per k
+    success_min: np.ndarray  # worst marked item, per k
 
     def success_series(self, mode: str = "per-item") -> np.ndarray:
         if mode == "per-item":
@@ -446,11 +442,10 @@ def progress_measures(model: Model, trajectories: TrajectoryPair) -> ProgressRep
     pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2
     upper = 4.0 * model.order * ks.astype(float) ** 2
 
-    seed = _seed_from_schedule_name(trajectories.schedule_name)
     return ProgressReport(
         descriptor=model.descriptor(),
-        strategy=trajectories.schedule_name,
-        seed=seed,
+        strategy=trajectories.schedule.name,
+        seed=trajectories.schedule.seed,
         n_slits=model.n_slits,
         order=model.order,
         marked=trajectories.marked,
@@ -461,16 +456,9 @@ def progress_measures(model: Model, trajectories: TrajectoryPair) -> ProgressRep
         gap_without_oracle=gap_without,
         pair_lower_bound=pair_lower,
         success=success,
+        success_mean=success.mean(axis=1),
+        success_min=success.min(axis=1),
     )
-
-
-def _seed_from_schedule_name(name: str) -> int | None:
-    if name.startswith("random:"):
-        try:
-            return int(name.split(":", 1)[1])
-        except ValueError:
-            return None
-    return None
 
 
 def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
@@ -536,7 +524,45 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
         gap_without_oracle=gap_without,
         pair_lower_bound=pair_lower,
         success=np.broadcast_to(per_item[:, None], (k_max + 1, n)),
+        success_mean=per_item,
+        success_min=per_item,
     )
+
+
+def run_experiment(
+    kind: str,
+    n_items: int,
+    strategy: str | None = None,
+    *,
+    order: int | None = None,
+    seed: int = 0,
+    k_max: int | None = None,
+    tol: float = DEFAULT_TOL,
+) -> ProgressReport:
+    """The report of one search experiment, from its spec alone.
+
+    ``kind`` and ``order`` pick the model (see `build_model`); ``strategy``
+    defaults to the family's standard schedule, ``seed`` seeds a random one
+    and ``k_max`` defaults to `default_k_max`. Quantum ``grover`` runs above
+    ``QUANTUM_DENSE_LIMIT`` items take the exact closed form, which needs no
+    model; every other run simulates the dense sector coordinates.
+    """
+    if strategy is None:
+        strategy = default_strategy(kind)
+    if k_max is None:
+        k_max = default_k_max(n_items)
+    # an order other than the quantum one falls through to build_model,
+    # which rejects it
+    if (
+        kind == "quantum"
+        and strategy == "grover"
+        and order in (None, 2)
+        and n_items > QUANTUM_DENSE_LIMIT
+    ):
+        return quantum_grover_report(n_items, k_max)
+    model = build_model(kind, n_items, order)
+    schedule = make_schedule(model, strategy, seed)
+    return progress_measures(model, run_search(model, schedule, k_max, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -648,33 +674,6 @@ def scaling_floor(n_items: int, order: int) -> float:
     return math.sqrt(LOWER_BOUND_CONSTANT * n_items / (4.0 * order))
 
 
-def _report_for(
-    kind: str,
-    n_items: int,
-    *,
-    order: int | None,
-    strategy: str,
-    seed: int,
-    k_max: int,
-    tol: float,
-) -> ProgressReport:
-    if kind == "quantum" and strategy == "grover" and n_items > QUANTUM_DENSE_LIMIT:
-        return quantum_grover_report(n_items, k_max)
-    if kind == "classical":
-        model: Model = classical_model(n_items)
-    elif kind == "quantum":
-        model = quantum_model(n_items)
-    elif kind == "synthetic":
-        if order is None:
-            raise ValueError("synthetic models need an explicit order")
-        model = synthetic_model(n_items, order)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    schedule = make_schedule(model, strategy, seed)
-    trajectories = run_search(model, schedule, k_max, tol=tol)
-    return progress_measures(model, trajectories)
-
-
 def scaling_sweep(
     kind: str,
     n_list: Sequence[int],
@@ -694,19 +693,10 @@ def scaling_sweep(
     quantum schedule), alongside the asymptotic floor. Runs that never cross
     within the step budget are recorded as saturated, not failed.
     """
-    if strategy is None:
-        strategy = default_strategy(kind)
     rows: list[SweepRow] = []
     for n_items in n_list:
-        steps = default_k_max(n_items) if k_max is None else k_max
-        report = _report_for(
-            kind,
-            n_items,
-            order=order,
-            strategy=strategy,
-            seed=seed,
-            k_max=steps,
-            tol=tol,
+        report = run_experiment(
+            kind, n_items, strategy, order=order, seed=seed, k_max=k_max, tol=tol
         )
         k_star = report.first_crossing(threshold, mode)
         series = report.success_series(mode)
@@ -721,7 +711,7 @@ def scaling_sweep(
                 k_peak=report.first_peak(mode),
                 success_at_k_star=float(series[k_star]) if k_star is not None else None,
                 max_success=float(series.max()),
-                k_max=steps,
+                k_max=int(report.k[-1]),
                 floor=scaling_floor(n_items, report.order),
             )
         )

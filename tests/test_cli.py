@@ -140,6 +140,29 @@ def test_sweep_classical_all_saturated(capsys):
     assert "n/a" in out
 
 
+def test_sweep_synthetic_defaults_to_order_three(capsys, tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--model", "synthetic", "--n", "4,5", "--out", str(out_file),
+    )
+    assert code == 0
+    lines = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(row["N"], row["h"]) for row in rows] == [("4", "3"), ("5", "3")]
+
+
+@pytest.mark.parametrize("command", ["search", "bound", "sweep"])
+@pytest.mark.parametrize(
+    "model, n, h",
+    [("quantum", "8", "3"), ("quantum", "64", "3"), ("classical", "4", "5")],
+)
+def test_wrong_order_is_a_usage_error_at_every_n(capsys, command, model, n, h):
+    code, out, err = run_cli(capsys, command, "--model", model, "--n", n, "--h", h)
+    assert code == 2
+    assert f"the {model} model has order" in err
+    assert out == ""
+
+
 def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--model", "quantum", "--n", "4",

@@ -24,7 +24,6 @@ from hoisearch.models import (
     lift_unitary_conjugation,
     model_from_descriptor,
     quantum_model,
-    random_reversible,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
@@ -33,6 +32,7 @@ from hoisearch.models import (
     verify_coherence_orthogonality,
     coherence_orthogonality_defects,
 )
+from hoisearch.search import random_schedule
 from hoisearch.subsets import SlitSet
 
 
@@ -339,9 +339,9 @@ def test_lift_rejects_non_unitary():
 
 def test_random_reversible_is_seeded_and_orthogonal():
     model = synthetic_model(4, 3)
-    a = random_reversible(model, 123)
-    b = random_reversible(model, 123)
-    c = random_reversible(model, 124)
+    a = random_schedule(model, 123).step(1)
+    b = random_schedule(model, 123).step(1)
+    c = random_schedule(model, 124).step(1)
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, c.matrix)
     assert a.orthogonality_defect() < 1e-10

@@ -304,6 +304,13 @@ def test_fast_path_is_o_k_at_a_million_items():
     assert report.success.shape == (default_k_max(n) + 1, n)
     assert not report.success.flags.writeable
     assert report.success.strides[1] == 0  # one column of storage, not N
+    # the summaries are the per-item series itself, not reductions over N columns
+    per_item = report.success[:, 0]
+    assert np.array_equal(report.success_mean, per_item)
+    assert np.array_equal(report.success_min, per_item)
+    started = time.perf_counter()
+    assert report.first_crossing() == int(np.argmax(per_item >= 0.5))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_pure_state_distance_identity():
