@@ -71,7 +71,6 @@ from .search import (
     progress_measures,
     quantum_grover_report,
     random_schedule,
-    reflection_about,
     reflection_schedule,
     run_experiment,
     run_search,

@@ -5,7 +5,8 @@ Every run is reproducible from its flags alone: all randomness is seeded,
 output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
 1 a checked bound or identity failed, or a numeric check failed during a run
-(a non-reversible schedule step, norm drift), 2 usage error.
+(a schedule step that does not preserve the trajectories' inner products),
+2 usage error.
 """
 
 from __future__ import annotations

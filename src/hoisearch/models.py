@@ -18,7 +18,7 @@ block indicator. Three families are provided:
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -45,6 +45,7 @@ __all__ = [
     "synthetic_model",
     "build_model",
     "model_from_descriptor",
+    "quantum_descriptor",
     "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
@@ -53,6 +54,7 @@ __all__ = [
     "unembed_density",
     "lift_superoperator",
     "lift_unitary_conjugation",
+    "conjugate_rows",
     "haar_orthogonal",
     "inner",
     "coherence_completeness_defect",
@@ -67,9 +69,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# quantum block dimensions: a diagonal entry per singleton, (Re, Im) of the
+# off-diagonal entry per pair
+QUANTUM_DIMS_PER_SIZE = {1: 1, 2: 2}
+
 
 class NumericError(ValueError):
-    """A numeric check failed on valid input (a non-reversible step, norm drift).
+    """A numeric check failed on valid input (a schedule step that is not reversible).
 
     Subclasses ValueError so that callers catching ValueError keep working.
     """
@@ -92,6 +98,19 @@ class SectorSpace:
             raise ValueError(f"unknown sector {sector!r} for this space")
         start = self.offsets[sector]
         return slice(start, start + self.dims[sector])
+
+    @functools.cached_property
+    def _density_index(self) -> tuple[np.ndarray, ...]:
+        """``(diag, rows, cols, pair)`` of a quantum layout: rho_ii sits at
+        coordinate ``diag[i]``; for the p-th pair ``rows[p] < cols[p]`` the
+        sqrt(2)-scaled Re and Im parts sit at ``pair[p]`` and ``pair[p] + 1``.
+        Sectors come singletons first, in slit order (`enumerate_sectors`).
+        """
+        n = self.n_slits
+        offsets = np.array([self.offsets[s] for s in self.sectors], dtype=np.intp)
+        pairs = np.array([s.members for s in self.sectors[n:]], dtype=np.intp)
+        rows, cols = pairs.reshape(-1, 2).T
+        return offsets[:n], rows, cols, offsets[n:]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SectorSpace):
@@ -185,12 +204,6 @@ class LinearMap:
             return StateVector(state.space, self._diag * state.coords)
         return StateVector(state.space, self._matrix @ state.coords)
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to a batch of states stored as rows of shape (n, M)."""
-        if self._diag is not None:
-            return rows * self._diag
-        return rows @ self._matrix.T
-
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         _check_same_space(self.space, other.space)
         if self._diag is not None and other._diag is not None:
@@ -230,12 +243,7 @@ class Model:
 
     def descriptor(self) -> dict:
         """JSON-serialisable description sufficient to rebuild the model."""
-        return {
-            "kind": self.kind,
-            "n_slits": self.space.n_slits,
-            "order": self.space.order,
-            "dims_per_size": {str(k): v for k, v in sorted(self.space.dims_per_size.items())},
-        }
+        return _descriptor(self.kind, self.n_slits, self.order, self.space.dims_per_size)
 
     def descriptor_json(self) -> str:
         return json.dumps(self.descriptor(), sort_keys=True)
@@ -341,16 +349,10 @@ def quantum_model(n_slits: int) -> Model:
     """
     if n_slits < 2:
         raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
-    space = build_sector_space(n_slits, 2, {1: 1, 2: 2})
-    basis = []
-    for i in range(n_slits):
-        rho = np.zeros((n_slits, n_slits), dtype=complex)
-        rho[i, i] = 1.0
-        basis.append(_embed_density_into(space, rho))
-    uniform = _embed_density_into(
-        space, np.full((n_slits, n_slits), 1.0 / n_slits, dtype=complex)
-    )
-    return Model("quantum", space, tuple(basis), uniform)
+    space = build_sector_space(n_slits, 2, QUANTUM_DIMS_PER_SIZE)
+    basis = tuple(StateVector(space, _embed(space, np.diag(row))) for row in np.eye(n_slits))
+    uniform = StateVector(space, _embed(space, np.full((n_slits, n_slits), 1.0 / n_slits)))
+    return Model("quantum", space, basis, uniform)
 
 
 def synthetic_model(
@@ -427,6 +429,20 @@ def model_from_descriptor(descriptor: Mapping | str) -> Model:
     return build_model(
         descriptor["kind"], int(descriptor["n_slits"]), int(descriptor["order"]), dims
     )
+
+
+def quantum_descriptor(n_slits: int) -> dict:
+    """``quantum_model(n_slits).descriptor()``, without building the model."""
+    return _descriptor("quantum", n_slits, 2, QUANTUM_DIMS_PER_SIZE)
+
+
+def _descriptor(kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int]) -> dict:
+    return {
+        "kind": kind,
+        "n_slits": n_slits,
+        "order": order,
+        "dims_per_size": {str(k): v for k, v in sorted(dims_per_size.items())},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +541,28 @@ def verify_oracle(
 # Quantum embedding
 # ---------------------------------------------------------------------------
 
-def _embed_density_into(space: SectorSpace, rho: np.ndarray) -> StateVector:
+def _embed(space: SectorSpace, rho: np.ndarray) -> np.ndarray:
+    """Sector coordinates of Hermitian matrices, shape (..., N, N) -> (..., M)."""
+    diag, rows, cols, pair = space._density_index
     n = space.n_slits
-    coords = np.zeros(space.total_dim)
-    for i in range(n):
-        coords[space.offsets[SlitSet((i,), n)]] = rho[i, i].real
-    sqrt2 = np.sqrt(2.0)
-    for i, j in itertools.combinations(range(n), 2):
-        off = space.offsets[SlitSet((i, j), n)]
-        coords[off] = sqrt2 * rho[i, j].real
-        coords[off + 1] = sqrt2 * rho[i, j].imag
-    return StateVector(space, coords)
+    coords = np.empty(rho.shape[:-2] + (space.total_dim,))
+    coords[..., diag] = rho[..., np.arange(n), np.arange(n)].real
+    upper = rho[..., rows, cols]
+    coords[..., pair] = np.sqrt(2.0) * upper.real
+    coords[..., pair + 1] = np.sqrt(2.0) * upper.imag
+    return coords
+
+
+def _unembed(space: SectorSpace, coords: np.ndarray) -> np.ndarray:
+    """Inverse of `_embed`: Hermitian matrices, shape (..., M) -> (..., N, N)."""
+    diag, rows, cols, pair = space._density_index
+    n = space.n_slits
+    rho = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+    rho[..., np.arange(n), np.arange(n)] = coords[..., diag]
+    upper = (coords[..., pair] + 1j * coords[..., pair + 1]) * (1.0 / np.sqrt(2.0))
+    rho[..., rows, cols] = upper
+    rho[..., cols, rows] = upper.conj()
+    return rho
 
 
 def embed_density(model: Model, rho: np.ndarray) -> StateVector:
@@ -545,47 +572,27 @@ def embed_density(model: Model, rho: np.ndarray) -> StateVector:
     n = model.space.n_slits
     if rho.shape != (n, n):
         raise ValueError(f"matrix has shape {rho.shape}, expected ({n}, {n})")
-    return _embed_density_into(model.space, rho)
+    return StateVector(model.space, _embed(model.space, rho))
 
 
 def unembed_density(model: Model, state: StateVector) -> np.ndarray:
     """Invert `embed_density`; always returns a Hermitian matrix."""
     _require_quantum(model)
     _check_same_space(model.space, state.space)
-    space = model.space
-    n = space.n_slits
-    rho = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        rho[i, i] = state.coords[space.offsets[SlitSet((i,), n)]]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i, j in itertools.combinations(range(n), 2):
-        off = space.offsets[SlitSet((i, j), n)]
-        val = (state.coords[off] + 1j * state.coords[off + 1]) * inv_sqrt2
-        rho[i, j] = val
-        rho[j, i] = val.conjugate()
-    return rho
+    return _unembed(model.space, state.coords)
 
 
-def lift_superoperator(
-    model: Model, fn: Callable[[np.ndarray], np.ndarray]
-) -> LinearMap:
+def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> LinearMap:
     """Lift a Hermitian-matrix map to the quantum model's real coordinates.
 
     ``fn`` must send Hermitian matrices to Hermitian matrices (projection
     sandwiches and unitary conjugations both qualify); the lift is assembled
-    column by column from the images of the coordinate basis.
+    from the images of the coordinate basis, one ``fn`` call per coordinate.
     """
     _require_quantum(model)
     space = model.space
-    m = space.total_dim
-    out = np.zeros((m, m))
-    basis_state = StateVector(space, np.zeros(m))
-    for k in range(m):
-        basis_state.coords[:] = 0.0
-        basis_state.coords[k] = 1.0
-        image = fn(unembed_density(model, basis_state))
-        out[:, k] = _embed_density_into(space, image).coords
-    return LinearMap(space, out)
+    images = np.stack([fn(rho) for rho in _unembed(space, np.eye(space.total_dim))])
+    return LinearMap(space, _embed(space, images).T)
 
 
 def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> LinearMap:
@@ -600,6 +607,17 @@ def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> LinearMap:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     u_dag = u.conj().T
     return lift_superoperator(model, lambda rho: u @ rho @ u_dag)
+
+
+def conjugate_rows(model: Model, unitary: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rho -> U rho U^dagger`` on quantum states stored as rows of shape (r, M).
+
+    The batch form of `lift_unitary_conjugation`, with no M x M matrix. The
+    unitary is not checked; `run_search` checks every step for reversibility.
+    """
+    _require_quantum(model)
+    u = np.asarray(unitary)
+    return _embed(model.space, u @ _unembed(model.space, rows) @ u.conj().T)
 
 
 def _require_quantum(model: Model) -> None:
@@ -617,13 +635,16 @@ def inner(left: StateVector, right: StateVector) -> float:
     return float(np.dot(left.coords, right.coords))
 
 
-def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform orthogonal matrix (QR of a Gaussian, sign-fixed)."""
-    a = rng.standard_normal((dim, dim))
+def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """Haar-distributed orthonormal frame of ``cols`` columns in R^dim.
+
+    QR of a dim x cols Gaussian, sign-fixed, which has the law of the first
+    ``cols`` columns of a Haar-uniform orthogonal matrix (Mezzadri 2007,
+    arXiv math-ph/0609050); the default ``cols = dim`` is such a matrix.
+    """
+    a = rng.standard_normal((dim, dim if cols is None else cols))
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def _projector_family(

@@ -31,14 +31,14 @@ import numpy as np
 from ._version import __version__
 from .models import (
     DEFAULT_TOL,
-    LinearMap,
     Model,
     NumericError,
     StateVector,
     build_model,
+    conjugate_rows,
     haar_orthogonal,
     inner,
-    lift_unitary_conjugation,
+    quantum_descriptor,
     sign_flip_oracle,
 )
 
@@ -53,12 +53,10 @@ __all__ = [
     "uniform_start",
     "success_probability",
     "oracle_displacement",
-    "reflection_about",
     "diffusion_unitary",
     "grover_schedule",
     "reflection_schedule",
     "random_schedule",
-    "constant_schedule",
     "make_schedule",
     "run_search",
     "progress_measures",
@@ -161,22 +159,6 @@ def oracle_displacement(model: Model, state: StateVector) -> float:
     return total
 
 
-def reflection_about(model: Model, state: StateVector) -> LinearMap:
-    """The orthogonal reflection fixing one state: ``2 s s^t / <s,s> - 1``.
-
-    The generalised diffusion step for models without a native algorithm.
-    Note that on the quantum model this sector-coordinate reflection is not
-    the lift of the amplitude-space diffusion unitary; quantum schedules use
-    the lifted conjugation instead.
-    """
-    coords = state.coords
-    sq = float(np.dot(coords, coords))
-    if sq <= 0.0:
-        raise ValueError("cannot reflect about the zero vector")
-    mat = (2.0 / sq) * np.outer(coords, coords) - np.eye(coords.shape[0])
-    return LinearMap(model.space, mat)
-
-
 def diffusion_unitary(n_items: int) -> np.ndarray:
     """The amplitude-space inversion about the uniform superposition."""
     return np.full((n_items, n_items), 2.0 / n_items) - np.eye(n_items)
@@ -188,45 +170,65 @@ def diffusion_unitary(n_items: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A named source of reversible steps, indexed from 1."""
+    """A named source of reversible steps, indexed from 1.
+
+    ``apply_fn(k, rows)`` returns step k applied to each row of a batch of
+    states of shape (r, M).
+    """
 
     name: str
-    step_fn: Callable[[int], LinearMap]
+    apply_fn: Callable[[int, np.ndarray], np.ndarray]
     seed: int | None = None  # random schedules only
 
-    def step(self, index: int) -> LinearMap:
+    def apply(self, index: int, rows: np.ndarray) -> np.ndarray:
         if index < 1:
             raise ValueError(f"step index starts at 1, got {index}")
-        return self.step_fn(index)
-
-
-def constant_schedule(step: LinearMap, name: str) -> Schedule:
-    return Schedule(name, lambda _i: step)
+        return self.apply_fn(index, rows)
 
 
 def grover_schedule(model: Model) -> Schedule:
-    """Every step is the lifted inversion-about-uniform conjugation."""
+    """Every step is the inversion-about-uniform conjugation ``rho -> U rho U^T``."""
     if model.kind != "quantum":
         raise ValueError("the grover strategy is defined on the quantum model only")
-    step = lift_unitary_conjugation(model, diffusion_unitary(model.n_slits))
-    return constant_schedule(step, "grover")
+    diffusion = diffusion_unitary(model.n_slits)
+    return Schedule("grover", lambda _k, rows: conjugate_rows(model, diffusion, rows))
 
 
 def reflection_schedule(model: Model) -> Schedule:
-    """Every step reflects about the model's uniform state."""
-    return constant_schedule(reflection_about(model, model.uniform_state), "reflect")
+    """Every step reflects about the model's uniform state s: ``2 s s^t / <s,s> - 1``.
+
+    The generalised diffusion step for models without a native algorithm,
+    applied as a rank-1 update. On the quantum model this sector-coordinate
+    reflection is not the lift of the amplitude-space diffusion unitary;
+    the ``grover`` schedule uses the conjugation instead.
+    """
+    axis = model.uniform_state.coords
+    sq = float(np.dot(axis, axis))
+    if sq <= 0.0:
+        raise ValueError("cannot reflect about the zero vector")
+    return Schedule("reflect", lambda _k, rows: np.outer((2.0 / sq) * (rows @ axis), axis) - rows)
 
 
 def random_schedule(model: Model, seed: int) -> Schedule:
-    """Independent Haar-orthogonal steps, reproducible from the seed."""
+    """Independent Haar-distributed steps, reproducible from the seed.
+
+    Step k sends the batch's span onto a frame drawn from ``(seed, k)``:
+    with ``qb`` an orthonormal basis of the span (reduced QR of ``rows.T``)
+    and ``F`` a Haar frame of as many columns (`haar_orthogonal`), the rows
+    become ``rows @ qb @ F.T``. A step thus depends on ``(seed, k)`` and on
+    the batch it acts on; its law is that of a Haar-orthogonal step, since a
+    Haar ``Q`` sends ``qb`` to a uniform frame (Mezzadri 2007, arXiv
+    math-ph/0609050). It costs two QRs of M x r matrices, not one of M x M.
+    """
     dim = model.space.total_dim
-    space = model.space
+    seed = int(seed)
 
-    def step_fn(index: int) -> LinearMap:
-        rng = np.random.default_rng((int(seed), int(index)))
-        return LinearMap(space, haar_orthogonal(dim, rng))
+    def apply_fn(index: int, rows: np.ndarray) -> np.ndarray:
+        qb = np.linalg.qr(rows.T)[0]
+        frame = haar_orthogonal(dim, np.random.default_rng((seed, int(index))), qb.shape[1])
+        return rows @ qb @ frame.T
 
-    return Schedule(f"random:{seed}", step_fn, seed=int(seed))
+    return Schedule(f"random:{seed}", apply_fn, seed=seed)
 
 
 def make_schedule(model: Model, strategy: str, seed: int = 0) -> Schedule:
@@ -291,12 +293,11 @@ def run_search(
     """Evolve the full trajectory pair for ``k_max`` queries.
 
     Each query applies the marked item's sign-flip oracle and then the
-    schedule step, exactly as the search experiment prescribes. Steps are
-    required to be reversible: small spaces get a full orthogonality check
-    (skipped only when a step is the very object checked at the step before),
-    large ones a per-step norm-drift check on every evolved state, which is
-    the property the bounds actually use. Either failure raises
-    ``NumericError``.
+    schedule step, exactly as the search experiment prescribes. Every step
+    must be reversible on the batch it acts on: it must preserve the batch
+    Gram matrix (every inner product between trajectories, hence every norm
+    and distance the bounds use) to within ``tol``, or ``NumericError`` is
+    raised.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -308,7 +309,7 @@ def run_search(
     m_dim = model.space.total_dim
     n_marked = len(marked_items)
     # last batch row is the oracle-free control: its "oracle" is the identity,
-    # and sharing the batched matmul keeps it bit-identical to trajectories the
+    # and sharing the batched step keeps it bit-identical to trajectories the
     # oracle leaves untouched (the classical collapse is then exact)
     oracle_diags = np.vstack(
         [sign_flip_oracle(model, x).map.diagonal for x in marked_items]
@@ -321,33 +322,15 @@ def run_search(
     free_states[0] = start_state.coords
 
     batch = np.tile(start_state.coords, (n_marked + 1, 1))
-    start_norms = np.linalg.norm(batch, axis=1)
-    drift_tol = max(tol, 1e-10)
-    # holding the checked step keeps it alive, so a fresh step can never be
-    # mistaken for it (an id() would be reused once the step is freed)
-    last_checked: LinearMap | None = None
-
     for k in range(1, k_max + 1):
-        step = schedule.step(k)
-        if step.space != model.space:
-            raise ValueError(f"schedule step {k} lives on a different space")
-        small = m_dim <= 512
-        if small and step is not last_checked:
-            defect = step.orthogonality_defect()
-            if defect > tol:
-                raise NumericError(
-                    f"schedule step {k} is not reversible "
-                    f"(orthogonality defect {defect:.3e} > {tol:.1e})"
-                )
-            last_checked = step
-        batch = step.apply_rows(batch * oracle_diags)
-        if not small:
-            drift = float(np.max(np.abs(np.linalg.norm(batch, axis=1) - start_norms)))
-            if drift > drift_tol:
-                raise NumericError(
-                    f"schedule step {k} is not norm preserving "
-                    f"(drift {drift:.3e} > {drift_tol:.1e})"
-                )
+        queried = batch * oracle_diags
+        batch = schedule.apply(k, queried)
+        defect = float(np.max(np.abs(batch @ batch.T - queried @ queried.T)))
+        if defect > tol:
+            raise NumericError(
+                f"schedule step {k} is not reversible "
+                f"(Gram defect {defect:.3e} > {tol:.1e})"
+            )
         with_states[k] = batch[:n_marked]
         free_states[k] = batch[n_marked]
 
@@ -504,14 +487,8 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     gap_without = np.full(k_max + 1, 2.0 * (n - 1))
     pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2
 
-    descriptor = {
-        "kind": "quantum",
-        "n_slits": n,
-        "order": 2,
-        "dims_per_size": {"1": 1, "2": 2},
-    }
     return ProgressReport(
-        descriptor=descriptor,
+        descriptor=quantum_descriptor(n),
         strategy="grover",
         seed=None,
         n_slits=n,

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
-and timings. The random-schedule bound check (criterion 5) dominates the
-runtime at a few minutes; everything else finishes in seconds.
+and timings. Every criterion finishes in seconds.
 """
 
 import itertools
@@ -180,9 +179,9 @@ def test_criterion_5_upper_bound_everywhere():
         report = progress_measures(model, run_search(model, grover_schedule(model), default_k_max(n)))
         if not check_upper_bound(report, tol=TOL_UPPER).holds:
             failures.append(f"grover dense N={n}")
-    # (b) 20-seed random schedules per model family at N = 16; the step
-    # budget shrinks with the sector dimension to keep the Haar sampling
-    # affordable, the bound is checked at every executed step
+    # (b) 20-seed random schedules per model family at N = 16, on step
+    # budgets that shrink with the sector dimension; the bound is checked at
+    # every executed step
     cases = [
         (classical_model(16), 16),
         (quantum_model(16), 16),

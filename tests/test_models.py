@@ -18,6 +18,7 @@ from hoisearch.models import (
     coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
+    haar_orthogonal,
     inner,
     interference_order,
     lift_superoperator,
@@ -93,8 +94,8 @@ def test_linear_map_representations():
     assert (diag @ diag).diagonal is not None
     assert (diag @ dense).diagonal is None
     assert diag.orthogonality_defect() == 0.0
-    rows = np.arange(6.0).reshape(2, 3)
-    assert np.allclose(diag.apply_rows(rows), rows * diag.diagonal)
+    state = StateVector(space, np.arange(3.0))
+    assert np.array_equal(diag.apply(state).coords, state.coords * diag.diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,37 @@ def test_quantum_embedding_round_trip_and_hs_inner():
         assert inner(embed_density(model, rho), embed_density(model, sigma)) == pytest.approx(
             hs, abs=1e-12
         )
+
+
+def test_quantum_embedding_matches_per_entry_reference():
+    # the index-array embedding against the per-entry loop over sectors;
+    # the arithmetic per entry is the same, so the results are equal
+    rng = np.random.default_rng(3)
+    for n in range(2, 7):
+        model = quantum_model(n)
+        space = model.space
+        rho = random_density(n, rng)
+        coords = np.zeros(space.total_dim)
+        for sector in space.sectors:
+            off = space.offsets[sector]
+            if len(sector) == 1:
+                i = sector.members[0]
+                coords[off] = rho[i, i].real
+            else:
+                i, j = sector.members
+                coords[off] = np.sqrt(2.0) * rho[i, j].real
+                coords[off + 1] = np.sqrt(2.0) * rho[i, j].imag
+        assert np.array_equal(embed_density(model, rho).coords, coords), n
+        back = np.zeros((n, n), dtype=complex)
+        for sector in space.sectors:
+            off = space.offsets[sector]
+            if len(sector) == 1:
+                back[sector.members[0], sector.members[0]] = coords[off]
+            else:
+                i, j = sector.members
+                back[i, j] = (coords[off] + 1j * coords[off + 1]) * (1.0 / np.sqrt(2.0))
+                back[j, i] = back[i, j].conjugate()
+        assert np.array_equal(unembed_density(model, StateVector(space, coords)), back), n
 
 
 def test_quantum_pure_states_have_unit_norm():
@@ -338,10 +370,12 @@ def test_lift_rejects_non_unitary():
 
 
 def test_random_reversible_is_seeded_and_orthogonal():
+    # a random step on the identity batch is an M x M matrix
     model = synthetic_model(4, 3)
-    a = random_schedule(model, 123).step(1)
-    b = random_schedule(model, 123).step(1)
-    c = random_schedule(model, 124).step(1)
+    eye = np.eye(model.space.total_dim)
+    a = LinearMap(model.space, random_schedule(model, 123).apply(1, eye).T)
+    b = LinearMap(model.space, random_schedule(model, 123).apply(1, eye).T)
+    c = LinearMap(model.space, random_schedule(model, 124).apply(1, eye).T)
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, c.matrix)
     assert a.orthogonality_defect() < 1e-10
@@ -349,3 +383,16 @@ def test_random_reversible_is_seeded_and_orthogonal():
     for _ in range(10):
         state = StateVector(model.space, rng.standard_normal(model.space.total_dim))
         assert a.apply(state).norm() == pytest.approx(state.norm(), abs=1e-10)
+
+
+def test_haar_frame_is_the_leading_block_of_the_full_draw():
+    # cols = dim reproduces the full Haar matrix bit for bit; a narrower
+    # frame is orthonormal
+    full = haar_orthogonal(6, np.random.default_rng(4))
+    a = np.random.default_rng(4).standard_normal((6, 6))
+    q, r = np.linalg.qr(a)
+    assert np.array_equal(full, q * np.where(np.diag(r) < 0, -1.0, 1.0))
+    assert np.array_equal(haar_orthogonal(6, np.random.default_rng(4), 6), full)
+    frame = haar_orthogonal(6, np.random.default_rng(4), 2)
+    assert frame.shape == (6, 2)
+    assert np.max(np.abs(frame.T @ frame - np.eye(2))) < 1e-12

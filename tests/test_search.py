@@ -12,17 +12,18 @@ reference.
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hoisearch.models import (
     LinearMap,
+    Model,
     NumericError,
     StateVector,
     classical_model,
     coherence_projector,
-    haar_orthogonal,
     lift_unitary_conjugation,
     quantum_model,
     sign_flip_oracle,
@@ -32,7 +33,6 @@ from hoisearch.search import (
     analytic_crossing_floor,
     check_lower_bound,
     check_upper_bound,
-    constant_schedule,
     Schedule,
     diffusion_unitary,
     default_k_max,
@@ -42,8 +42,9 @@ from hoisearch.search import (
     progress_measures,
     quantum_grover_report,
     random_schedule,
-    reflection_about,
+    reflection_schedule,
     reports_to_json,
+    run_experiment,
     run_search,
     scaling_sweep,
     success_probability,
@@ -114,25 +115,45 @@ def test_success_probability_on_target_state():
 
 def test_reflection_fixes_axis_and_is_an_orthogonal_involution():
     model = synthetic_model(4, 3)
-    reflection = reflection_about(model, model.uniform_state)
-    fixed = reflection.apply(model.uniform_state)
-    assert np.max(np.abs(fixed.coords - model.uniform_state.coords)) < 1e-12
-    assert reflection.orthogonality_defect() < 1e-12
-    squared = (reflection @ reflection).matrix
-    assert np.max(np.abs(squared - np.eye(model.space.total_dim))) < 1e-12
+    reflect = reflection_schedule(model)
+    eye = np.eye(model.space.total_dim)
+    fixed = reflect.apply(1, model.uniform_state.coords[None, :])[0]
+    assert np.max(np.abs(fixed - model.uniform_state.coords)) < 1e-12
+    assert LinearMap(model.space, reflect.apply(1, eye).T).orthogonality_defect() < 1e-12
+    assert np.max(np.abs(reflect.apply(2, reflect.apply(1, eye)) - eye)) < 1e-12
+    zero = StateVector(model.space, np.zeros(model.space.total_dim))
     with pytest.raises(ValueError):
-        reflection_about(model, StateVector(model.space, np.zeros(model.space.total_dim)))
+        reflection_schedule(Model(model.kind, model.space, model.basis_states, zero))
 
 
 def test_sector_reflection_differs_from_lifted_diffusion():
     # both fix the embedded uniform state, but they are different orthogonal
-    # maps; quantum schedules must use the lifted conjugation
+    # maps; quantum schedules must use the conjugation
     model = quantum_model(3)
-    lifted = lift_unitary_conjugation(model, diffusion_unitary(3))
-    reflected = reflection_about(model, model.uniform_state)
-    assert np.max(np.abs(lifted.matrix - reflected.matrix)) > 0.1
-    fixed = lifted.apply(model.uniform_state)
-    assert np.max(np.abs(fixed.coords - model.uniform_state.coords)) < 1e-12
+    eye = np.eye(9)
+    grover = grover_schedule(model)
+    reflected = reflection_schedule(model).apply(1, eye)
+    assert np.max(np.abs(grover.apply(1, eye) - reflected)) > 0.1
+    fixed = grover.apply(1, model.uniform_state.coords[None, :])[0]
+    assert np.max(np.abs(fixed - model.uniform_state.coords)) < 1e-12
+
+
+def test_grover_step_matches_the_lifted_diffusion():
+    # the batch conjugation against the dense lift, built one coordinate at
+    # a time; entries are O(1) sums of O(N^2) products
+    for n in range(2, 9):
+        model = quantum_model(n)
+        step = grover_schedule(model).apply(1, np.eye(model.space.total_dim)).T
+        lifted = lift_unitary_conjugation(model, diffusion_unitary(n)).matrix
+        assert np.max(np.abs(step - lifted)) < 1e-12, n
+
+
+def test_reflect_step_matches_the_explicit_reflection():
+    for model in (classical_model(5), quantum_model(4), synthetic_model(5, 3)):
+        s = model.uniform_state.coords
+        explicit = 2.0 * np.outer(s, s) / np.dot(s, s) - np.eye(s.shape[0])
+        step = reflection_schedule(model).apply(1, np.eye(s.shape[0])).T
+        assert np.max(np.abs(step - explicit)) < 1e-12, model.kind
 
 
 def test_make_schedule_dispatch_and_validation():
@@ -148,12 +169,27 @@ def test_make_schedule_dispatch_and_validation():
 
 def test_random_schedule_is_deterministic_with_distinct_steps():
     model = synthetic_model(4, 2)
+    rows = np.random.default_rng(3).standard_normal((3, model.space.total_dim))
     schedule = random_schedule(model, 7)
-    again = random_schedule(model, 7)
-    assert np.array_equal(schedule.step(1).matrix, again.step(1).matrix)
-    assert not np.array_equal(schedule.step(1).matrix, schedule.step(2).matrix)
+    out = schedule.apply(1, rows)
+    assert np.max(np.abs(out @ out.T - rows @ rows.T)) < 1e-12
+    assert np.array_equal(out, random_schedule(model, 7).apply(1, rows))
+    assert not np.array_equal(out, schedule.apply(2, rows))
     with pytest.raises(ValueError):
-        schedule.step(0)
+        schedule.apply(0, rows)
+
+
+def test_random_step_has_the_haar_law():
+    # a Haar step sends a unit vector to a uniform point on the unit sphere
+    # of R^M, whose squared first coordinate has mean 1/M
+    model = synthetic_model(4, 2)
+    m = model.space.total_dim
+    unit = model.uniform_state.coords[None, :] / model.uniform_state.norm()
+    samples = np.array(
+        [random_schedule(model, seed).apply(1, unit)[0, 0] ** 2 for seed in range(4000)]
+    )
+    stderr = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - 1.0 / m) < 5.0 * stderr
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +222,34 @@ def test_classical_oracle_never_separates_trajectories():
 
 def test_run_search_rejects_irreversible_steps():
     model = quantum_model(3)
-    bad = constant_schedule(LinearMap(model.space, 2.0 * np.eye(9)), "bad")
+    bad = Schedule("bad", lambda _k, rows: 2.0 * rows)
     with pytest.raises(NumericError, match="not reversible"):
         run_search(model, bad, 1)
 
 
 def test_run_search_checks_every_fresh_step():
-    # fresh Haar steps, one of them scaled off the orthogonal group; freed
-    # steps hand their id() to later ones, so an id-keyed cache skipped this
+    # Haar steps, one of them scaled off the orthogonal group: every step is
+    # checked, not only the first
     for model in (quantum_model(4), synthetic_model(8, 3)):
-        dim = model.space.total_dim
+        haar = random_schedule(model, 5)
         for bad_k in (1, 4, 8, 13, 20):
-            def step_fn(index, bad_k=bad_k, dim=dim, space=model.space):
-                rng = np.random.default_rng((5, index))
+            def apply_fn(index, rows, bad_k=bad_k, haar=haar):
                 scale = 1.01 if index == bad_k else 1.0
-                return LinearMap(space, scale * haar_orthogonal(dim, rng))
+                return scale * haar.apply(index, rows)
 
             with pytest.raises(NumericError, match=f"step {bad_k} is not reversible"):
-                run_search(model, Schedule("scaled", step_fn), 20)
+                run_search(model, Schedule("scaled", apply_fn), 20)
+
+
+def test_random_run_builds_no_m_by_m_matrix():
+    # synthetic(16, 4) has M = 2516: one M x M step matrix alone is 50.6 MB
+    tracemalloc.start()
+    try:
+        run_experiment("synthetic", 16, "random", order=4, k_max=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_run_search_marked_subset_and_accessors():
