@@ -23,6 +23,7 @@ from .subsets import (
     enumerate_sectors,
     identity_decomposition,
     signed_pairing_count,
+    signed_pairing_counts,
     signed_pairing_count_closed,
 )
 from .models import (

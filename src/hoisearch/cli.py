@@ -6,7 +6,7 @@ output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
 1 a checked bound or identity failed, or a numeric check failed during a run
 (a schedule step that does not preserve the trajectories' inner products),
-2 usage error.
+2 usage error, including a size past the exact-enumeration guards.
 """
 
 from __future__ import annotations
@@ -43,13 +43,15 @@ from .search import (
     write_sweep_csv,
 )
 from .subsets import (
+    MAX_UNIVERSE,
+    EnumerationLimitError,
     SignedSubsetCombination,
     SlitSet,
     coherence_expansion,
     enumerate_sectors,
     identity_decomposition,
-    signed_pairing_count,
     signed_pairing_count_closed,
+    signed_pairing_counts,
 )
 
 USAGE_ERROR = 2
@@ -129,9 +131,11 @@ def _corrupted_family(model: Model) -> list[LinearMap]:
 
 
 def _verify_exact_cell(n: int, h: int) -> tuple[bool, str]:
-    total = SignedSubsetCombination()
+    acc: dict[SlitSet, int] = {}
     for sector in enumerate_sectors(n, h):
-        total = total + coherence_expansion(sector)
+        for sub, coeff in coherence_expansion(sector).items():
+            acc[sub] = acc.get(sub, 0) + coeff
+    total = SignedSubsetCombination(acc)
     expected = SignedSubsetCombination(identity_decomposition(h, n))
     ok = total == expected
     return ok, "formal expansion == identity decomposition" if ok else "expansion mismatch"
@@ -148,13 +152,20 @@ def _verify_pairing_cell(universe: int) -> tuple[bool, str]:
     ]
     for left in subsets:
         for right in subsets:
+            counts = signed_pairing_counts(left, right)
             for meet in left.intersection(right).subsets(include_empty=True):
                 checked += 1
-                if signed_pairing_count(left, right, meet) != signed_pairing_count_closed(
-                    left, right, meet
-                ):
+                if counts[meet.mask] != signed_pairing_count_closed(left, right, meet):
                     mismatches += 1
     return mismatches == 0, f"{checked} triples checked, {mismatches} mismatches"
+
+
+def _check_universe_flag(flag: str, n: int) -> None:
+    # the exact identities stop at MAX_UNIVERSE slits: refuse before any work
+    if n > MAX_UNIVERSE:
+        raise UsageError(
+            f"{flag} must be <= {MAX_UNIVERSE} (the exact-arithmetic guard), got {n}"
+        )
 
 
 def _verify_model_cell(
@@ -200,6 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows: list[tuple[str, bool, str]] = []
     if args.n is not None:
         n = _single_n(_parse_int_list(args.n), "verify --n")
+        _check_universe_flag("--n", n)
         h = args.h if args.h is not None else min(n, 3)
         model = build_model("synthetic", n, h)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
@@ -208,6 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max = args.n_max
         if n_max < 1:
             raise UsageError(f"--n-max must be >= 1, got {n_max}")
+        _check_universe_flag("--n-max", n_max)
         exact_ok = True
         for n in range(1, n_max + 1):
             for h in range(1, n + 1):
@@ -454,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

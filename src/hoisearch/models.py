@@ -703,9 +703,15 @@ def coherence_orthogonality_defects(
     m = model.space.total_dim
     if all(p.diagonal is not None for p in family):
         diags = np.stack([p.diagonal for p in family])  # (S, M)
-        prod = diags[:, None, :] * diags[None, :, :]
-        prod[np.arange(len(family)), np.arange(len(family)), :] -= diags
-        pair_defect = float(np.max(np.abs(prod)))
+        # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
+        # diagonal it is the two largest |w| at a coordinate multiplied, the
+        # same float as the largest rounded product since |a b| = |a| |b| and
+        # rounding is monotone; a NaN entry makes both terms NaN
+        pair_defect = np.max(np.abs(diags * diags - diags))
+        if len(family) > 1:
+            top = np.partition(np.abs(diags), -2, axis=0)[-2:]
+            pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
+        pair_defect = float(pair_defect)
         rng = np.random.default_rng(seed)
         vecs = rng.standard_normal((n_vectors, m))
         block_sq = (vecs**2) @ (diags**2).T  # (n_vectors, S)

@@ -414,12 +414,13 @@ def progress_measures(model: Model, trajectories: TrajectoryPair) -> ProgressRep
     k_max = trajectories.k_max
     ks = np.arange(k_max + 1)
 
-    diff_pair = with_states - free_states[:, None, :]
-    divergence = np.einsum("kxm,kxm->k", diff_pair, diff_pair)
-    diff_target = with_states - basis[None, :, :]
-    gap_with = np.einsum("kxm,kxm->k", diff_target, diff_target)
-    diff_free = free_states[:, None, :] - basis[None, :, :]
-    gap_without = np.einsum("kxm,kxm->k", diff_free, diff_free)
+    diff = np.empty(with_states.shape)  # one (k+1, X, M) buffer for all three
+    np.subtract(with_states, free_states[:, None, :], out=diff)
+    divergence = np.einsum("kxm,kxm->k", diff, diff)
+    np.subtract(with_states, basis[None, :, :], out=diff)
+    gap_with = np.einsum("kxm,kxm->k", diff, diff)
+    np.subtract(free_states[:, None, :], basis[None, :, :], out=diff)
+    gap_without = np.einsum("kxm,kxm->k", diff, diff)
     success = np.einsum("kxm,xm->kx", with_states, basis)
 
     pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2

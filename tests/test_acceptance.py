@@ -180,13 +180,16 @@ def test_criterion_5_upper_bound_everywhere():
         if not check_upper_bound(report, tol=TOL_UPPER).holds:
             failures.append(f"grover dense N={n}")
     # (b) 20-seed random schedules per model family at N = 16, on step
-    # budgets that shrink with the sector dimension; the bound is checked at
-    # every executed step
+    # budgets that shrink with the sector dimension, and for h = 3, 4 also at
+    # the full default budget; the bound is checked at every executed step
+    synthetic3, synthetic4 = synthetic_model(16, 3), synthetic_model(16, 4)
     cases = [
         (classical_model(16), 16),
         (quantum_model(16), 16),
-        (synthetic_model(16, 3), 10),
-        (synthetic_model(16, 4), 5),
+        (synthetic3, 10),
+        (synthetic4, 5),
+        (synthetic3, default_k_max(16)),
+        (synthetic4, default_k_max(16)),
     ]
     runs = 0
     for model, k_max in cases:

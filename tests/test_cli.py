@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import hoisearch.cli
 from hoisearch.cli import main
+from hoisearch.subsets import EnumerationLimitError, SlitSet
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,61 @@ def test_verify_rejects_order_above_slit_count(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3", "--h", "4")
     assert code == 2
     assert "h exceeds N" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--n", "31", "--h", "1"), ("--n-max", "31")], ids=["n", "n-max"]
+)
+def test_verify_rejects_sizes_past_the_exact_guard(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert "must be <= 30" in err
+    assert out == ""
+
+
+def test_enumeration_limit_is_a_usage_error(capsys, monkeypatch):
+    def refuse(*_args):
+        raise EnumerationLimitError("past the guard")
+
+    monkeypatch.setattr(hoisearch.cli, "identity_decomposition", refuse)
+    code, out, err = run_cli(capsys, "verify", "--n", "3")
+    assert code == 2
+    assert "past the guard" in err
+    assert out == ""
+
+
+def test_verify_reports_a_wrong_pairing_count(capsys, monkeypatch):
+    closed = hoisearch.cli.signed_pairing_count_closed
+    wrong_on = (SlitSet((0, 1), 2), SlitSet((0, 1), 2), SlitSet((0,), 2))
+
+    def closed_wrong_once(left, right, meet):
+        value = closed(left, right, meet)
+        return value + 1 if (left, right, meet) == wrong_on else value
+
+    monkeypatch.setattr(hoisearch.cli, "signed_pairing_count_closed", closed_wrong_once)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "2")
+    assert code == 1
+    line = next(row for row in out.splitlines() if row.startswith("pairing counts"))
+    assert "FAIL" in line
+    assert line.endswith("25 triples checked, 1 mismatches")
+    assert "CHECKS FAILED" in out
+
+
+def test_verify_reports_a_wrong_expansion(capsys, monkeypatch):
+    decomposition = hoisearch.cli.identity_decomposition
+
+    def one_coefficient_off(order, n_slits):
+        terms = decomposition(order, n_slits)
+        first = next(iter(terms))
+        terms[first] += 1
+        return terms
+
+    monkeypatch.setattr(hoisearch.cli, "identity_decomposition", one_coefficient_off)
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--h", "2")
+    assert code == 1
+    line = next(row for row in out.splitlines() if row.startswith("exact identities"))
+    assert "FAIL" in line
+    assert line.endswith("expansion mismatch")
 
 
 def test_search_quantum_four_items(capsys, tmp_path):

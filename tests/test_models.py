@@ -336,6 +336,84 @@ def test_corrupted_projectors_fail_verification():
     assert not verify_coherence_orthogonality(model, projectors=family)
 
 
+def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=20240):
+    """Reference `coherence_orthogonality_defects` for a diagonal family,
+    through the (S, S, M) tensor of every product w_i w_j, against which the
+    O(S M) version must be exact."""
+    m = model.space.total_dim
+    diags = np.stack([p.diagonal for p in family])
+    prod = diags[:, None, :] * diags[None, :, :]
+    prod[np.arange(len(family)), np.arange(len(family)), :] -= diags
+    pair_defect = float(np.max(np.abs(prod)))
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((n_vectors, m))
+    block_sq = (vecs**2) @ (diags**2).T
+    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1))))
+    return pair_defect, pyth_defect
+
+
+ORTHOGONALITY_MODELS = (
+    [classical_model(n) for n in range(1, 7)]
+    + [quantum_model(n) for n in range(2, 7)]
+    + [synthetic_model(n, h) for n in range(3, 7) for h in (3, 4) if h <= n]
+)
+
+
+@pytest.mark.parametrize(
+    "model", ORTHOGONALITY_MODELS, ids=lambda m: f"{m.kind}{m.n_slits}-h{m.order}"
+)
+def test_orthogonality_defects_equal_the_product_tensor(model):
+    family = [coherence_projector(model, sec) for sec in model.space.sectors]
+    assert coherence_orthogonality_defects(model) == (
+        product_tensor_orthogonality_defects(model, family)
+    )
+
+
+def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
+    model = synthetic_model(5, 3)
+    rng = np.random.default_rng(11)
+    m = model.space.total_dim
+    for scale in (1.0, 1e-3, 1e3):
+        family = [
+            LinearMap(model.space, diag=scale * rng.standard_normal(m))
+            for _ in model.space.sectors
+        ]
+        got = coherence_orthogonality_defects(model, family)
+        assert got == product_tensor_orthogonality_defects(model, family)
+        assert got[0] > 0
+    # entries just below 1: w_i^2 - w_i is small, so the product of two
+    # different blocks sets the defect
+    diags = rng.uniform(0.9, 1.0, size=(len(model.space.sectors), m))
+    family = [LinearMap(model.space, diag=d) for d in diags]
+    got = coherence_orthogonality_defects(model, family)
+    assert got == product_tensor_orthogonality_defects(model, family)
+    assert got[0] > np.max(np.abs(diags * diags - diags))
+    # two blocks that are the same projector overlap by exactly 1
+    family = [coherence_projector(model, sec) for sec in model.space.sectors]
+    family[1] = family[0]
+    got = coherence_orthogonality_defects(model, family)
+    assert got == product_tensor_orthogonality_defects(model, family)
+    assert got[0] == 1.0
+    assert not verify_coherence_orthogonality(model, projectors=family)
+    # a single sector: the diagonal term alone
+    single = classical_model(1)
+    family = [LinearMap(single.space, diag=np.array([-0.5]))]
+    got = coherence_orthogonality_defects(single, family)
+    assert got == product_tensor_orthogonality_defects(single, family)
+    assert got[0] == 0.75
+
+
+def test_orthogonality_defect_with_a_nan_fails():
+    model = quantum_model(3)
+    family = [coherence_projector(model, sec) for sec in model.space.sectors]
+    diag = family[2].diagonal.copy()
+    diag[1] = np.nan
+    family[2] = LinearMap(model.space, diag=diag)
+    pair, _ = coherence_orthogonality_defects(model, family)
+    assert np.isnan(pair)
+    assert not verify_coherence_orthogonality(model, projectors=family)
+
+
 def test_interference_order_detection():
     assert interference_order(classical_model(6)) == 1
     assert interference_order(quantum_model(5)) == 2

@@ -9,6 +9,7 @@ the dense route and against a direct amplitude simulation kept below as the
 reference.
 """
 
+import dataclasses
 import io
 import math
 import time
@@ -33,6 +34,7 @@ from hoisearch.search import (
     analytic_crossing_floor,
     check_lower_bound,
     check_upper_bound,
+    ProgressReport,
     Schedule,
     diffusion_unitary,
     default_k_max,
@@ -364,6 +366,61 @@ def test_pure_state_distance_identity():
     _, report = grover_run(8, 6)
     expected = 2.0 * np.sum(1.0 - report.success, axis=1)
     assert report.gap_with_oracle == pytest.approx(expected, abs=1e-9)
+
+
+def three_buffer_progress_measures(model, trajectories):
+    """Reference `progress_measures` with one (k+1, X, M) difference array
+    per measure, against which the shared-buffer version must be exact."""
+    basis = np.stack([model.basis_states[x].coords for x in trajectories.marked])
+    with_states = trajectories.states_with_oracle
+    free_states = trajectories.states_without_oracle
+    ks = np.arange(trajectories.k_max + 1)
+    diff_pair = with_states - free_states[:, None, :]
+    divergence = np.einsum("kxm,kxm->k", diff_pair, diff_pair)
+    diff_target = with_states - basis[None, :, :]
+    gap_with = np.einsum("kxm,kxm->k", diff_target, diff_target)
+    diff_free = free_states[:, None, :] - basis[None, :, :]
+    gap_without = np.einsum("kxm,kxm->k", diff_free, diff_free)
+    success = np.einsum("kxm,xm->kx", with_states, basis)
+    return ProgressReport(
+        descriptor=model.descriptor(),
+        strategy=trajectories.schedule.name,
+        seed=trajectories.schedule.seed,
+        n_slits=model.n_slits,
+        order=model.order,
+        marked=trajectories.marked,
+        k=ks,
+        divergence=divergence,
+        upper_bound=4.0 * model.order * ks.astype(float) ** 2,
+        gap_with_oracle=gap_with,
+        gap_without_oracle=gap_without,
+        pair_lower_bound=np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2,
+        success=success,
+        success_mean=success.mean(axis=1),
+        success_min=success.min(axis=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, strategy",
+    [
+        (quantum_model(13), "grover"),
+        (quantum_model(16), "random"),
+        (synthetic_model(16, 4), "random"),
+    ],
+    ids=["quantum13-grover", "quantum16-random", "synthetic16-4-random"],
+)
+def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
+    schedule = make_schedule(model, strategy, seed=3)
+    trajectories = run_search(model, schedule, default_k_max(model.n_slits))
+    report = progress_measures(model, trajectories)
+    expected = three_buffer_progress_measures(model, trajectories)
+    for field in dataclasses.fields(ProgressReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_divergence_dominates_pair_lower_bound():

@@ -16,6 +16,7 @@ from hoisearch.subsets import (
     identity_decomposition,
     signed_pairing_count,
     signed_pairing_count_closed,
+    signed_pairing_counts,
 )
 
 
@@ -266,3 +267,53 @@ def test_pairing_validation():
     big = s(range(25), 25)
     with pytest.raises(EnumerationLimitError):
         signed_pairing_count(big, big, s([], 25))
+
+
+def per_triple_pairing_reference(left, right, meet):
+    """Reference count for one meet: a full pass over every
+    (A <= left, B <= right), keeping the pairs with A & B == meet."""
+    lm, rm, km = left.mask, right.mask, meet.mask
+    count = 0
+    a = lm
+    while True:
+        pa = a.bit_count()
+        b = rm
+        while True:
+            if a & b == km:
+                count += -1 if (pa + b.bit_count()) % 2 else 1
+            if b == 0:
+                break
+            b = (b - 1) & rm
+        if a == 0:
+            break
+        a = (a - 1) & lm
+    return count
+
+
+def test_pairing_counts_match_per_triple_enumeration():
+    universe = 4
+    subsets = [
+        s(combo, universe)
+        for size in range(universe + 1)
+        for combo in itertools.combinations(range(universe), size)
+    ]
+    for left in subsets:
+        for right in subsets:
+            counts = signed_pairing_counts(left, right)
+            meets = list(left.intersection(right).subsets(include_empty=True))
+            # one entry per meet contained in left & right, and no other
+            assert sorted(counts) == sorted(m.mask for m in meets), (left, right)
+            for meet in meets:
+                expected = per_triple_pairing_reference(left, right, meet)
+                assert counts[meet.mask] == expected, (left, right, meet)
+                assert signed_pairing_count(left, right, meet) == expected
+
+
+def test_pairing_counts_validation():
+    with pytest.raises(ValueError, match="universe mismatch"):
+        signed_pairing_counts(s([0], 3), s([0], 4))
+    with pytest.raises(ValueError, match="universe mismatch"):
+        signed_pairing_count(s([0], 3), s([0], 3), s([0], 4))
+    big = s(range(25), 25)
+    with pytest.raises(EnumerationLimitError):
+        signed_pairing_counts(big, big)
