@@ -400,7 +400,13 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
         help="seed count (e.g. 20 -> seeds 0..19) or explicit comma list",
     )
     parser.add_argument("--k-max", type=int, default=None, help="step budget (default ceil(4 sqrt N))")
-    parser.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="bound on the per-step reversibility check of simulated runs "
+        "(the closed-form quantum grover route has no step to check)",
+    )
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument(
         "--format", choices=["csv", "json"], default="csv", help="output format"

@@ -687,20 +687,16 @@ def verify_coherence_completeness(
 
 
 def coherence_orthogonality_defects(
-    model: Model,
-    projectors: Sequence[LinearMap] | None = None,
-    *,
-    n_vectors: int = 100,
-    seed: int = 20240,
+    model: Model, projectors: Sequence[LinearMap] | None = None
 ) -> tuple[float, float]:
     """(pairwise product defect, Pythagoras defect) of the coherence blocks.
 
     The first number is the largest entry of ``w_i w_j - delta_ij w_i`` over
     all block pairs; the second is the largest deviation of the blockwise
-    norm-squared sum from the total, over seeded random vectors.
+    norm-squared sum from the total, over 100 seeded random vectors.
     """
     family = _projector_family(model, projectors)
-    m = model.space.total_dim
+    vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
     if all(p.diagonal is not None for p in family):
         diags = np.stack([p.diagonal for p in family])  # (S, M)
         # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
@@ -712,9 +708,7 @@ def coherence_orthogonality_defects(
             top = np.partition(np.abs(diags), -2, axis=0)[-2:]
             pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
         pair_defect = float(pair_defect)
-        rng = np.random.default_rng(seed)
-        vecs = rng.standard_normal((n_vectors, m))
-        block_sq = (vecs**2) @ (diags**2).T  # (n_vectors, S)
+        block_sq = (vecs**2) @ (diags**2).T  # (vectors, S)
         pyth_defect = float(
             np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1)))
         )
@@ -728,9 +722,7 @@ def coherence_orthogonality_defects(
             if i == j:
                 prod = prod - wi
             pair_defect = max(pair_defect, float(np.max(np.abs(prod))))
-    rng = np.random.default_rng(seed)
-    vecs = rng.standard_normal((n_vectors, m))
-    total = np.zeros(n_vectors)
+    total = np.zeros(len(vecs))
     for w in mats:
         total += ((vecs @ w.T) ** 2).sum(axis=1)
     pyth_defect = float(np.max(np.abs(total - (vecs**2).sum(axis=1))))
@@ -742,12 +734,8 @@ def verify_coherence_orthogonality(
     *,
     tol: float = DEFAULT_TOL,
     projectors: Sequence[LinearMap] | None = None,
-    n_vectors: int = 100,
-    seed: int = 20240,
 ) -> bool:
-    pair, pyth = coherence_orthogonality_defects(
-        model, projectors, n_vectors=n_vectors, seed=seed
-    )
+    pair, pyth = coherence_orthogonality_defects(model, projectors)
     return pair < tol and pyth < tol
 
 

@@ -9,14 +9,15 @@ ceiling ``4 h k^2``, the companion distances to the target states, and the
 finite-N floor that any successful run must have climbed above.
 
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
-strategy, seed, k_max) to a report; sweeps and the CLI go through it. For
-quantum runs with the standard amplitude-amplification schedule above
-``QUANTUM_DENSE_LIMIT`` items it takes the exact closed-form report,
-``quantum_grover_report``: from the uniform start every marked trajectory is
-a rotation in a two-dimensional plane and the oracle-free control never
-moves, so each measure is a trigonometric function of k, computed in O(k)
-time and memory. The test suite cross-checks it against the dense
-sector-coordinate simulation and against a direct amplitude simulation.
+strategy, seed, k_max) to a report; sweeps and the CLI go through it. Every
+quantum run with the standard amplitude-amplification schedule takes the
+exact closed-form report, ``quantum_grover_report``, at every N: from the
+uniform start every marked trajectory is a rotation in a two-dimensional
+plane and the oracle-free control never moves, so each measure is a
+trigonometric function of k, computed in O(k) time and memory. Every other
+run simulates the dense sector coordinates with `run_search`, which, with
+`grover_schedule`, is also the test suite's reference for the closed form
+(besides a direct amplitude simulation).
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ SWEEP_CSV_COLUMNS = (
     "floor_sqrt_cN_4h",
     "saturated",
 )
-
-# Dense sector simulation of the quantum model costs O(N^2) coordinates; above
-# this the closed-form report takes over for the standard quantum schedule.
-QUANTUM_DENSE_LIMIT = 32
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +270,6 @@ class TrajectoryPair:
     def k_max(self) -> int:
         return self.states_with_oracle.shape[0] - 1
 
-    def state_with_oracle(self, k: int, marked: int) -> StateVector:
-        i = self.marked.index(marked)
-        return StateVector(self.model.space, self.states_with_oracle[k, i].copy())
-
-    def state_without_oracle(self, k: int) -> StateVector:
-        return StateVector(self.model.space, self.states_without_oracle[k].copy())
-
 
 def run_search(
     model: Model,
@@ -357,6 +347,10 @@ class ProgressReport:
     ``gap_with_oracle`` / ``gap_without_oracle`` are the summed squared
     distances of each family to the target basis states; ``pair_lower_bound``
     is the reverse-triangle floor the divergence can never undercut.
+
+    A run succeeds at k when its worst marked item is found with probability
+    at least 1/2 (``success_min >= 1/2``), the criterion
+    `analytic_crossing_floor` is derived for.
     """
 
     descriptor: dict
@@ -375,29 +369,19 @@ class ProgressReport:
     success_mean: np.ndarray  # mean over the marked items, per k
     success_min: np.ndarray  # worst marked item, per k
 
-    def success_series(self, mode: str = "per-item") -> np.ndarray:
-        if mode == "per-item":
-            return self.success_min
-        if mode == "averaged":
-            return self.success_mean
-        raise ValueError(f"unknown success mode {mode!r}")
-
-    def first_crossing(
-        self, threshold: float = 0.5, mode: str = "per-item"
-    ) -> int | None:
-        """Smallest query count whose success reaches the threshold."""
-        series = self.success_series(mode)
-        hits = np.nonzero(series >= threshold)[0]
+    def first_crossing(self) -> int | None:
+        """Smallest query count whose per-item success reaches 1/2."""
+        hits = np.nonzero(self.success_min >= 0.5)[0]
         return int(hits[0]) if hits.size else None
 
-    def first_peak(self, mode: str = "per-item") -> int:
-        """First query count at which the success series stops increasing.
+    def first_peak(self) -> int:
+        """First query count at which the per-item success stops increasing.
 
         For the standard quantum schedule this is the textbook iteration
         count; for flat series (classical saturation) it degenerates to the
         final index.
         """
-        series = self.success_series(mode)
+        series = self.success_min
         for k in range(len(series) - 1):
             if series[k + 1] < series[k] - 1e-12:
                 return k
@@ -466,7 +450,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     time and memory are O(k) whatever N is.
     """
     if n_items < 2:
-        raise ValueError(f"need at least 2 items, got {n_items}")
+        raise ValueError(f"the quantum model needs at least 2 slits, got {n_items}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
@@ -521,24 +505,22 @@ def run_experiment(
 
     ``kind`` and ``order`` pick the model (see `build_model`); ``strategy``
     defaults to the family's standard schedule, ``seed`` seeds a random one
-    and ``k_max`` defaults to `default_k_max`. Quantum ``grover`` runs above
-    ``QUANTUM_DENSE_LIMIT`` items take the exact closed form, which needs no
-    model; every other run simulates the dense sector coordinates.
+    and ``k_max`` defaults to `default_k_max`, resolved once N is known to be
+    valid. Quantum ``grover`` runs take the exact closed form at every N and
+    build no model, so they have no step for ``tol`` to check; every other run
+    simulates the dense sector coordinates.
     """
     if strategy is None:
         strategy = default_strategy(kind)
-    if k_max is None:
-        k_max = default_k_max(n_items)
     # an order other than the quantum one falls through to build_model,
     # which rejects it
-    if (
-        kind == "quantum"
-        and strategy == "grover"
-        and order in (None, 2)
-        and n_items > QUANTUM_DENSE_LIMIT
-    ):
-        return quantum_grover_report(n_items, k_max)
+    if kind == "quantum" and strategy == "grover" and order in (None, 2):
+        if n_items < 2:  # the model's own check, made before default_k_max
+            raise ValueError(f"the quantum model needs at least 2 slits, got {n_items}")
+        return quantum_grover_report(n_items, default_k_max(n_items) if k_max is None else k_max)
     model = build_model(kind, n_items, order)
+    if k_max is None:
+        k_max = default_k_max(n_items)
     schedule = make_schedule(model, strategy, seed)
     return progress_measures(model, run_search(model, schedule, k_max, tol=tol))
 
@@ -580,17 +562,11 @@ class LowerBoundCheck:
     holds: bool
 
 
-def check_lower_bound(
-    report: ProgressReport,
-    *,
-    mode: str = "per-item",
-    threshold: float = 0.5,
-    tol: float = 1e-6,
-) -> LowerBoundCheck:
+def check_lower_bound(report: ProgressReport, *, tol: float = 1e-6) -> LowerBoundCheck:
     """At the first success crossing, the divergence must sit above the
     finite-N floor. Vacuously true when the run never crosses (saturation is
     data, not failure)."""
-    crossing = report.first_crossing(threshold, mode)
+    crossing = report.first_crossing()
     floor = analytic_crossing_floor(report.n_slits)
     if crossing is None:
         return LowerBoundCheck(False, None, floor, None, True)
@@ -630,8 +606,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    mode: str
-    threshold: float
 
     def exponent(self, statistic: str = "crossing") -> float | None:
         """Log-log slope of the chosen query count against the list size."""
@@ -660,8 +634,6 @@ def scaling_sweep(
     order: int | None = None,
     seed: int = 0,
     k_max: int | None = None,
-    threshold: float = 0.5,
-    mode: str = "per-item",
     tol: float = DEFAULT_TOL,
 ) -> SweepResult:
     """Query counts against list size for one model family and strategy.
@@ -676,8 +648,8 @@ def scaling_sweep(
         report = run_experiment(
             kind, n_items, strategy, order=order, seed=seed, k_max=k_max, tol=tol
         )
-        k_star = report.first_crossing(threshold, mode)
-        series = report.success_series(mode)
+        k_star = report.first_crossing()
+        series = report.success_min
         rows.append(
             SweepRow(
                 kind=kind,
@@ -686,14 +658,14 @@ def scaling_sweep(
                 strategy=report.strategy,
                 seed=report.seed,
                 k_star=k_star,
-                k_peak=report.first_peak(mode),
+                k_peak=report.first_peak(),
                 success_at_k_star=float(series[k_star]) if k_star is not None else None,
                 max_success=float(series.max()),
                 k_max=int(report.k[-1]),
                 floor=scaling_floor(n_items, report.order),
             )
         )
-    return SweepResult(rows=rows, mode=mode, threshold=threshold)
+    return SweepResult(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +792,9 @@ def sweep_to_json(result: SweepResult, *, config: Mapping | None = None) -> str:
     payload = {
         "version": __version__,
         "config": dict(config) if config is not None else None,
-        "mode": result.mode,
-        "threshold": result.threshold,
+        # the success criterion of every crossing (see ProgressReport)
+        "mode": "per-item",
+        "threshold": 0.5,
         "exponent_crossing": result.exponent("crossing"),
         "exponent_peak": result.exponent("peak"),
         "rows": sweep_rows(result),

@@ -106,7 +106,7 @@ def test_criterion_2_coherence_block_suite():
     worst_pyth = 0.0
     for model in models:
         worst_complete = max(worst_complete, coherence_completeness_defect(model))
-        pair, pyth = coherence_orthogonality_defects(model, n_vectors=100)
+        pair, pyth = coherence_orthogonality_defects(model)
         worst_pair = max(worst_pair, pair)
         worst_pyth = max(worst_pyth, pyth)
     ok = max(worst_complete, worst_pair, worst_pyth) < TOL_BLOCKS
@@ -258,7 +258,7 @@ def test_criterion_7_lower_bound_at_crossing():
     started = time.time()
     n = 1024
     report = quantum_grover_report(n, 16)
-    check = check_lower_bound(report, mode="per-item", tol=TOL_LOWER)
+    check = check_lower_bound(report, tol=TOL_LOWER)
     floor = analytic_crossing_floor(n)
     ok = (
         check.crossed

@@ -220,6 +220,24 @@ def test_wrong_order_is_a_usage_error_at_every_n(capsys, command, model, n, h):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["search", "bound", "sweep"])
+@pytest.mark.parametrize(
+    "model, n, message",
+    [
+        ("quantum", "-3", "the quantum model needs at least 2 slits, got -3"),
+        ("quantum", "0", "the quantum model needs at least 2 slits, got 0"),
+        ("quantum", "1", "the quantum model needs at least 2 slits, got 1"),
+        ("classical", "-1", "need at least one slit, got -1"),
+    ],
+    ids=["quantum-neg3", "quantum-0", "quantum-1", "classical-neg1"],
+)
+def test_too_few_items_is_the_models_usage_error(capsys, command, model, n, message):
+    code, out, err = run_cli(capsys, command, "--model", model, "--n", n)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--model", "quantum", "--n", "4",

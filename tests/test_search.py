@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hoisearch.search
 from hoisearch.models import (
     LinearMap,
     Model,
@@ -56,6 +57,16 @@ from hoisearch.search import (
     write_sweep_csv,
     REPORT_CSV_COLUMNS,
 )
+
+
+def assert_reports_equal(got, want, label=None):
+    """Every `ProgressReport` field equal: arrays element for element."""
+    for field in dataclasses.fields(ProgressReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), (label, field.name)
+        else:
+            assert a == b, (label, field.name)
 
 
 def grover_run(n, k_max):
@@ -258,9 +269,10 @@ def test_run_search_marked_subset_and_accessors():
     model = quantum_model(4)
     pair = run_search(model, grover_schedule(model), 1, marked=(2,))
     assert pair.marked == (2,)
-    state = pair.state_with_oracle(1, 2)
+    state = StateVector(model.space, pair.states_with_oracle[1, pair.marked.index(2)])
     assert success_probability(model, state, 2) == pytest.approx(1.0, abs=1e-9)
-    assert pair.state_without_oracle(0).coords == pytest.approx(model.uniform_state.coords)
+    control = StateVector(model.space, pair.states_without_oracle[0])
+    assert control.coords == pytest.approx(model.uniform_state.coords)
 
 
 def test_run_search_rejects_foreign_start_state():
@@ -298,7 +310,7 @@ def test_quantum_success_and_divergence_match_trigonometry():
 
 
 def test_fast_path_matches_dense_simulation():
-    for n in range(2, 17):
+    for n in range(2, 33):
         _, dense = grover_run(n, default_k_max(n))
         fast = quantum_grover_report(n, default_k_max(n))
         for attr in (
@@ -318,6 +330,17 @@ def test_fast_path_matches_dense_simulation():
         # at N = 2 the success is exactly 1/2 at every k: crossing at k = 0
         assert fast.first_crossing() == dense.first_crossing(), n
         assert fast.first_peak() == dense.first_peak(), n
+
+
+def test_run_experiment_takes_the_closed_form_at_every_n(monkeypatch):
+    def no_model(*_args):
+        raise AssertionError("a quantum grover run built a model")
+
+    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    for n in range(2, 34):
+        assert_reports_equal(
+            run_experiment("quantum", n), quantum_grover_report(n, default_k_max(n)), n
+        )
 
 
 def test_fast_path_matches_amplitude_simulation():
@@ -413,14 +436,10 @@ def three_buffer_progress_measures(model, trajectories):
 def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
     schedule = make_schedule(model, strategy, seed=3)
     trajectories = run_search(model, schedule, default_k_max(model.n_slits))
-    report = progress_measures(model, trajectories)
-    expected = three_buffer_progress_measures(model, trajectories)
-    for field in dataclasses.fields(ProgressReport):
-        got, want = getattr(report, field.name), getattr(expected, field.name)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), field.name
-        else:
-            assert got == want, field.name
+    assert_reports_equal(
+        progress_measures(model, trajectories),
+        three_buffer_progress_measures(model, trajectories),
+    )
 
 
 def test_divergence_dominates_pair_lower_bound():
@@ -440,7 +459,9 @@ def test_one_step_recursion_inequality():
         pair = run_search(model, random_schedule(model, 23), 7)
         report = progress_measures(model, pair)
         for k in range(pair.k_max):
-            moved = oracle_displacement(model, pair.state_without_oracle(k))
+            moved = oracle_displacement(
+                model, StateVector(model.space, pair.states_without_oracle[k])
+            )
             ceiling = (math.sqrt(report.divergence[k]) + math.sqrt(moved)) ** 2
             assert report.divergence[k + 1] <= ceiling + 1e-9
 
@@ -457,11 +478,12 @@ def test_first_crossing_and_first_peak():
     assert flat.first_peak() == 5  # flat series degenerates to the last index
 
 
-def test_success_modes():
-    _, report = grover_run(4, 1)
-    assert report.first_crossing(mode="averaged") == report.first_crossing(mode="per-item")
-    with pytest.raises(ValueError):
-        report.success_series("median")
+def test_sweep_json_names_the_success_criterion():
+    import json
+
+    payload = json.loads(sweep_to_json(scaling_sweep("quantum", [4], "grover")))
+    assert payload["mode"] == "per-item"
+    assert payload["threshold"] == 0.5
 
 
 # ---------------------------------------------------------------------------
