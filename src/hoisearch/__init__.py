@@ -28,10 +28,8 @@ from .subsets import (
 )
 from .models import (
     DEFAULT_TOL,
-    LinearMap,
     Model,
     NumericError,
-    Oracle,
     OracleCheck,
     SectorSpace,
     StateVector,

@@ -5,7 +5,10 @@ and one real coordinate block per slit subset of size at most h. Coordinates
 are chosen orthonormal for the self-dualising inner product, so the inner
 product is the plain Euclidean dot product, reversible dynamics are exactly
 the orthogonal matrices, and every coherence projector is an axis-aligned
-block indicator. Three families are provided:
+block indicator. Projectors and sign-flip oracles are diagonal in these
+coordinates and are returned as their diagonals, plain ``(M,)`` arrays; only
+`verify_oracle` and the quantum lifts take or return an ``(M, M)`` matrix.
+Three families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
 * quantum (h = 2): N x N density matrices embedded as real vectors, with the
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -35,8 +38,6 @@ from .subsets import (
 __all__ = [
     "SectorSpace",
     "StateVector",
-    "LinearMap",
-    "Oracle",
     "OracleCheck",
     "Model",
     "build_sector_space",
@@ -149,81 +150,6 @@ class StateVector:
         return float(np.linalg.norm(self.coords))
 
 
-class LinearMap:
-    """A real linear map on a sector space.
-
-    Backed either by a dense matrix or, for maps that are diagonal in the
-    sector coordinates (projectors, sign-flip oracles, the identity), by the
-    diagonal alone. The dense form is materialised on demand.
-    """
-
-    __slots__ = ("space", "_matrix", "_diag")
-
-    def __init__(
-        self,
-        space: SectorSpace,
-        matrix: np.ndarray | None = None,
-        *,
-        diag: np.ndarray | None = None,
-    ) -> None:
-        if (matrix is None) == (diag is None):
-            raise ValueError("provide exactly one of matrix= or diag=")
-        self.space = space
-        m = space.total_dim
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (m, m):
-                raise ValueError(f"matrix has shape {matrix.shape}, expected ({m}, {m})")
-            self._matrix: np.ndarray | None = matrix
-            self._diag: np.ndarray | None = None
-        else:
-            diag = np.asarray(diag, dtype=float)
-            if diag.shape != (m,):
-                raise ValueError(f"diagonal has shape {diag.shape}, expected ({m},)")
-            self._matrix = None
-            self._diag = diag
-
-    @classmethod
-    def identity(cls, space: SectorSpace) -> "LinearMap":
-        return cls(space, diag=np.ones(space.total_dim))
-
-    @property
-    def diagonal(self) -> np.ndarray | None:
-        """The diagonal if the map is stored diagonally, else None."""
-        return self._diag
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        return np.diag(self._diag)
-
-    def apply(self, state: StateVector) -> StateVector:
-        _check_same_space(self.space, state.space)
-        if self._diag is not None:
-            return StateVector(state.space, self._diag * state.coords)
-        return StateVector(state.space, self._matrix @ state.coords)
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        _check_same_space(self.space, other.space)
-        if self._diag is not None and other._diag is not None:
-            return LinearMap(self.space, diag=self._diag * other._diag)
-        return LinearMap(self.space, self.matrix @ other.matrix)
-
-    def orthogonality_defect(self) -> float:
-        """Max-abs deviation of T^t T from the identity (0 iff norm preserving)."""
-        if self._diag is not None:
-            return float(np.max(np.abs(self._diag**2 - 1.0)))
-        m = self._matrix
-        gram = m.T @ m
-        gram.flat[:: m.shape[0] + 1] -= 1.0
-        return float(np.max(np.abs(gram, out=gram)))
-
-    def __repr__(self) -> str:
-        kind = "diag" if self._diag is not None else "dense"
-        return f"LinearMap({kind}, dim={self.space.total_dim})"
-
-
 @dataclass(frozen=True, eq=False)
 class Model:
     """A concrete theory carrier: space, distinguished basis, uniform state."""
@@ -247,15 +173,6 @@ class Model:
 
     def descriptor_json(self) -> str:
         return json.dumps(self.descriptor(), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class Oracle:
-    """A reversible marked-item query: trivial off the marked slit's coherences."""
-
-    marked: int
-    map: LinearMap
-    model: Model
 
 
 @dataclass(frozen=True)
@@ -415,6 +332,8 @@ def build_model(
     if kind == "synthetic":
         if order is None:
             raise ValueError("synthetic models need an explicit order")
+        if n_slits < 1:
+            raise ValueError(f"need at least one slit, got {n_slits}")
         if order > n_slits:
             raise ValueError(f"h exceeds N: h={order}, N={n_slits}")
         return synthetic_model(n_slits, order, dims_per_size)
@@ -449,15 +368,15 @@ def _descriptor(kind: str, n_slits: int, order: int, dims_per_size: Mapping[int,
 # Projectors and oracles
 # ---------------------------------------------------------------------------
 
-def coherence_projector(model: Model, sector: SlitSet) -> LinearMap:
-    """Orthogonal projector onto one coherence block (zero elsewhere)."""
+def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
+    """Orthogonal projector onto one coherence block: 1 on the block, 0 elsewhere."""
     space = model.space
     diag = np.zeros(space.total_dim)
     diag[space.sector_slice(sector)] = 1.0
-    return LinearMap(space, diag=diag)
+    return diag
 
 
-def slit_projector(model: Model, open_slits: SlitSet) -> LinearMap:
+def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
     """Projector implementing "block every slit outside this subset".
 
     Sum of the coherence blocks of all nonempty subsets of the open slits
@@ -472,17 +391,17 @@ def slit_projector(model: Model, open_slits: SlitSet) -> LinearMap:
     diag = np.zeros(space.total_dim)
     for sub in open_slits.subsets(max_size=space.order):
         diag[space.sector_slice(sub)] = 1.0
-    return LinearMap(space, diag=diag)
+    return diag
 
 
-def sign_flip_oracle(model: Model, marked: int) -> Oracle:
+def sign_flip_oracle(model: Model, marked: int) -> np.ndarray:
     """The canonical search oracle: flip the sign of every coherence block
     that involves the marked slit together with at least one other slit.
 
-    Diagonal in sector coordinates, hence orthogonal and an involution. In the
-    quantum model this reproduces conjugation by the phase unitary that flags
-    the marked basis state; in the classical model no block qualifies and the
-    oracle is the identity.
+    Diagonal in sector coordinates, hence orthogonal and an involution; the
+    ±1 diagonal is returned. In the quantum model this reproduces conjugation
+    by the phase unitary that flags the marked basis state; in the classical
+    model no block qualifies and the oracle is the identity.
     """
     space = model.space
     if not 0 <= marked < space.n_slits:
@@ -491,23 +410,26 @@ def sign_flip_oracle(model: Model, marked: int) -> Oracle:
     for sector in space.sectors:
         if len(sector) > 1 and marked in sector:
             diag[space.sector_slice(sector)] = -1.0
-    return Oracle(marked, LinearMap(space, diag=diag), model)
+    return diag
 
 
 def verify_oracle(
-    model: Model, candidate: LinearMap, marked: int, *, tol: float = DEFAULT_TOL
+    model: Model, candidate: np.ndarray, marked: int, *, tol: float = DEFAULT_TOL
 ) -> OracleCheck:
-    """Check a map against the search-oracle conditions for one marked item.
+    """Check a map, given as its (M, M) matrix in sector coordinates, against
+    the search-oracle conditions for one marked item.
 
     Conditions are checked on the coherence blocks, which span every slit
     projector: (a) blocks not involving the marked slit, and singleton
     blocks, must be fixed; (b) the map must commute with every block
     projector; (c) the map must preserve the norm (orthogonality).
     """
-    _check_same_space(model.space, candidate.space)
     space = model.space
-    mat = candidate.matrix
-    eye = np.eye(space.total_dim)
+    m = space.total_dim
+    mat = np.asarray(candidate, dtype=float)
+    if mat.shape != (m, m):
+        raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
+    eye = np.eye(m)
     fix_defect = 0.0
     commute_defect = 0.0
     for sector in space.sectors:
@@ -528,11 +450,13 @@ def verify_oracle(
             fix_defect = max(
                 fix_defect, float(np.max(np.abs(mat[:, sl] - eye[:, sl])))
             )
+    gram = mat.T @ mat
+    gram.flat[:: m + 1] -= 1.0
     return OracleCheck(
         marked=marked,
         fixed_sector_defect=fix_defect,
         commutation_defect=commute_defect,
-        orthogonality_defect=candidate.orthogonality_defect(),
+        orthogonality_defect=float(np.max(np.abs(gram))),
         tol=tol,
     )
 
@@ -582,20 +506,21 @@ def unembed_density(model: Model, state: StateVector) -> np.ndarray:
     return _unembed(model.space, state.coords)
 
 
-def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> LinearMap:
+def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Lift a Hermitian-matrix map to the quantum model's real coordinates.
 
     ``fn`` must send Hermitian matrices to Hermitian matrices (projection
     sandwiches and unitary conjugations both qualify); the lift is assembled
-    from the images of the coordinate basis, one ``fn`` call per coordinate.
+    from the images of the coordinate basis, one ``fn`` call per coordinate,
+    and returned as its (M, M) matrix.
     """
     _require_quantum(model)
     space = model.space
     images = np.stack([fn(rho) for rho in _unembed(space, np.eye(space.total_dim))])
-    return LinearMap(space, _embed(space, images).T)
+    return _embed(space, images).T
 
 
-def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> LinearMap:
+def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> np.ndarray:
     """The real sector-coordinate form of ``rho -> U rho U^dagger``."""
     _require_quantum(model)
     u = np.asarray(unitary, dtype=complex)
@@ -647,93 +572,71 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
-def _projector_family(
-    model: Model, projectors: Sequence[LinearMap] | None
-) -> list[LinearMap]:
+def _projector_family(model: Model, projectors: np.ndarray | None) -> np.ndarray:
+    """The (S, M) stack of block diagonals, one row per sector."""
     if projectors is None:
-        return [coherence_projector(model, s) for s in model.space.sectors]
-    family = list(projectors)
-    if len(family) != len(model.space.sectors):
+        return np.stack([coherence_projector(model, s) for s in model.space.sectors])
+    family = np.asarray(projectors, dtype=float)
+    expected = (len(model.space.sectors), model.space.total_dim)
+    if family.shape != expected:
         raise ValueError(
-            f"expected {len(model.space.sectors)} projectors, got {len(family)}"
+            f"expected {expected[0]} projectors of {expected[1]} coordinates, "
+            f"got shape {family.shape}"
         )
     return family
 
 
 def coherence_completeness_defect(
-    model: Model, projectors: Sequence[LinearMap] | None = None
+    model: Model, projectors: np.ndarray | None = None
 ) -> float:
-    """Max-abs deviation of the summed coherence blocks from the identity."""
+    """Max-abs deviation of the summed coherence blocks from the identity.
+
+    ``projectors`` is an (S, M) array of block diagonals, one row per sector;
+    the model's own coherence projectors by default.
+    """
     family = _projector_family(model, projectors)
-    m = model.space.total_dim
-    if all(p.diagonal is not None for p in family):
-        total = np.zeros(m)
-        for p in family:
-            total += p.diagonal
-        return float(np.max(np.abs(total - 1.0)))
-    total = np.zeros((m, m))
-    for p in family:
-        total += p.matrix
-    return float(np.max(np.abs(total - np.eye(m))))
+    return float(np.max(np.abs(family.sum(axis=0) - 1.0)))
 
 
 def verify_coherence_completeness(
     model: Model,
     *,
     tol: float = DEFAULT_TOL,
-    projectors: Sequence[LinearMap] | None = None,
+    projectors: np.ndarray | None = None,
 ) -> bool:
     return coherence_completeness_defect(model, projectors) < tol
 
 
 def coherence_orthogonality_defects(
-    model: Model, projectors: Sequence[LinearMap] | None = None
+    model: Model, projectors: np.ndarray | None = None
 ) -> tuple[float, float]:
     """(pairwise product defect, Pythagoras defect) of the coherence blocks.
 
-    The first number is the largest entry of ``w_i w_j - delta_ij w_i`` over
-    all block pairs; the second is the largest deviation of the blockwise
-    norm-squared sum from the total, over 100 seeded random vectors.
+    ``projectors`` is as in `coherence_completeness_defect`. The first number
+    is the largest entry of ``w_i w_j - delta_ij w_i`` over all block pairs;
+    the second is the largest deviation of the blockwise norm-squared sum
+    from the total, over 100 seeded random vectors.
     """
-    family = _projector_family(model, projectors)
+    diags = _projector_family(model, projectors)
     vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
-    if all(p.diagonal is not None for p in family):
-        diags = np.stack([p.diagonal for p in family])  # (S, M)
-        # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
-        # diagonal it is the two largest |w| at a coordinate multiplied, the
-        # same float as the largest rounded product since |a b| = |a| |b| and
-        # rounding is monotone; a NaN entry makes both terms NaN
-        pair_defect = np.max(np.abs(diags * diags - diags))
-        if len(family) > 1:
-            top = np.partition(np.abs(diags), -2, axis=0)[-2:]
-            pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
-        pair_defect = float(pair_defect)
-        block_sq = (vecs**2) @ (diags**2).T  # (vectors, S)
-        pyth_defect = float(
-            np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1)))
-        )
-        return pair_defect, pyth_defect
-
-    mats = [p.matrix for p in family]
-    pair_defect = 0.0
-    for i, wi in enumerate(mats):
-        for j, wj in enumerate(mats):
-            prod = wi @ wj
-            if i == j:
-                prod = prod - wi
-            pair_defect = max(pair_defect, float(np.max(np.abs(prod))))
-    total = np.zeros(len(vecs))
-    for w in mats:
-        total += ((vecs @ w.T) ** 2).sum(axis=1)
-    pyth_defect = float(np.max(np.abs(total - (vecs**2).sum(axis=1))))
-    return pair_defect, pyth_defect
+    # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
+    # diagonal it is the two largest |w| at a coordinate multiplied, the same
+    # float as the largest rounded product since |a b| = |a| |b| and rounding
+    # is monotone; a NaN entry makes both terms NaN
+    pair_defect = np.max(np.abs(diags * diags - diags))
+    if len(diags) > 1:
+        top = np.partition(np.abs(diags), -2, axis=0)[-2:]
+        pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
+    block_sq = (vecs**2) @ (diags**2).T  # (vectors, S)
+    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1))))
+    return float(pair_defect), pyth_defect
 
 
 def verify_coherence_orthogonality(
     model: Model,
     *,
     tol: float = DEFAULT_TOL,
-    projectors: Sequence[LinearMap] | None = None,
+    projectors: np.ndarray | None = None,
 ) -> bool:
     pair, pyth = coherence_orthogonality_defects(model, projectors)
     return pair < tol and pyth < tol
@@ -751,13 +654,13 @@ def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
             coeff = decomposition_coefficient(candidate, len(subset), n)
             if coeff == 0:
                 continue
-            diag += coeff * slit_projector(model, subset).diagonal
+            diag += coeff * slit_projector(model, subset)
         if float(np.max(np.abs(diag - 1.0))) < tol:
             return candidate
     raise ValueError("the identity decomposition never closes; corrupt model?")
 
 
-def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> LinearMap:
+def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
     """Instantiate a coherence block from its formal slit-projector expansion.
 
     This is the inclusion-exclusion route; it must agree with
@@ -767,8 +670,8 @@ def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> LinearMap:
     expansion = coherence_expansion(sector)
     diag = np.zeros(model.space.total_dim)
     for subset, coeff in expansion.items():
-        diag += coeff * slit_projector(model, subset).diagonal
-    return LinearMap(model.space, diag=diag)
+        diag += coeff * slit_projector(model, subset)
+    return diag
 
 
 def _unit_vector(dim: int, index: int) -> np.ndarray:

@@ -302,7 +302,7 @@ def run_search(
     # and sharing the batched step keeps it bit-identical to trajectories the
     # oracle leaves untouched (the classical collapse is then exact)
     oracle_diags = np.vstack(
-        [sign_flip_oracle(model, x).map.diagonal for x in marked_items]
+        [sign_flip_oracle(model, x) for x in marked_items]
         + [np.ones(m_dim)]
     )
 

@@ -25,9 +25,17 @@ def test_verify_small_grid_passes(capsys):
 
 
 def test_verify_corrupt_hook_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--corrupt")
-    assert code == 1
-    assert "FAIL" in out
+    # the leak breaks every cell's completeness and orthogonality rows
+    for argv, n_cells in ((["--n-max", "3"], 6), (["--n", "5", "--h", "3"], 1)):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--corrupt")
+        assert code == 1, argv
+        rows = [
+            line for line in out.splitlines()
+            if " completeness " in line or " orthogonality " in line
+        ]
+        assert len(rows) == 2 * n_cells, argv
+        for row in rows:
+            assert "  FAIL  " in row, row
 
 
 def test_verify_single_cell(capsys):
@@ -228,8 +236,13 @@ def test_wrong_order_is_a_usage_error_at_every_n(capsys, command, model, n, h):
         ("quantum", "0", "the quantum model needs at least 2 slits, got 0"),
         ("quantum", "1", "the quantum model needs at least 2 slits, got 1"),
         ("classical", "-1", "need at least one slit, got -1"),
+        ("synthetic", "-1", "need at least one slit, got -1"),
+        ("synthetic", "0", "need at least one slit, got 0"),
     ],
-    ids=["quantum-neg3", "quantum-0", "quantum-1", "classical-neg1"],
+    ids=[
+        "quantum-neg3", "quantum-0", "quantum-1", "classical-neg1",
+        "synthetic-neg1", "synthetic-0",
+    ],
 )
 def test_too_few_items_is_the_models_usage_error(capsys, command, model, n, message):
     code, out, err = run_cli(capsys, command, "--model", model, "--n", n)

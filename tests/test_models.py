@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hoisearch.models import (
-    LinearMap,
     StateVector,
     build_sector_space,
     classical_model,
@@ -31,6 +30,7 @@ from hoisearch.models import (
     unembed_density,
     verify_coherence_completeness,
     verify_coherence_orthogonality,
+    coherence_completeness_defect,
     coherence_orthogonality_defects,
 )
 from hoisearch.search import random_schedule
@@ -45,6 +45,11 @@ def random_density(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def orthogonality_defect(x):
+    """max |X^T X - I|: zero iff the matrix preserves the norm."""
+    return float(np.max(np.abs(x.T @ x - np.eye(len(x)))))
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +87,6 @@ def test_state_vector_validation_and_views():
     assert block.shape == (2,)
     with pytest.raises(ValueError):
         StateVector(model.space, np.zeros(5))
-
-
-def test_linear_map_representations():
-    space = build_sector_space(3, 1, {1: 1})
-    with pytest.raises(ValueError):
-        LinearMap(space)
-    diag = LinearMap(space, diag=np.array([1.0, -1.0, 1.0]))
-    dense = LinearMap(space, np.eye(3))
-    assert np.allclose(diag.matrix, np.diag([1.0, -1.0, 1.0]))
-    assert (diag @ diag).diagonal is not None
-    assert (diag @ dense).diagonal is None
-    assert diag.orthogonality_defect() == 0.0
-    state = StateVector(space, np.arange(3.0))
-    assert np.array_equal(diag.apply(state).coords, state.coords * diag.diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +224,21 @@ def test_slit_projector_laws(model):
     subsets = [s(rng.choice(n, size=rng.integers(0, n + 1), replace=False), n) for _ in range(12)]
     subsets += [s(range(n), n), s([], n), s([0], n)]
     for left in subsets:
-        p_left = slit_projector(model, left).diagonal
+        p_left = slit_projector(model, left)
         assert np.array_equal(p_left * p_left, p_left)  # idempotent, exactly
         for right in subsets:
-            p_right = slit_projector(model, right).diagonal
-            p_meet = slit_projector(model, left.intersection(right)).diagonal
+            p_right = slit_projector(model, right)
+            p_meet = slit_projector(model, left.intersection(right))
             assert np.array_equal(p_left * p_right, p_meet), (left, right)
-    full = slit_projector(model, s(range(n), n)).diagonal
+    full = slit_projector(model, s(range(n), n))
     assert np.array_equal(full, np.ones(model.space.total_dim))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
 def test_coherence_projector_matches_formal_expansion(model):
     for sector in model.space.sectors:
-        direct = coherence_projector(model, sector).diagonal
-        expanded = coherence_from_slit_projectors(model, sector).diagonal
+        direct = coherence_projector(model, sector)
+        expanded = coherence_from_slit_projectors(model, sector)
         assert np.array_equal(direct, expanded), sector
 
 
@@ -255,9 +246,8 @@ def test_qutrit_slit_projector_zeroes_blocked_row_and_column():
     model = quantum_model(3)
     rng = np.random.default_rng(5)
     rho = random_density(3, rng)
-    projected = unembed_density(
-        model, slit_projector(model, s([0, 1], 3)).apply(embed_density(model, rho))
-    )
+    coords = slit_projector(model, s([0, 1], 3)) * embed_density(model, rho).coords
+    projected = unembed_density(model, StateVector(model.space, coords))
     expected = rho.copy()
     expected[2, :] = 0.0
     expected[:, 2] = 0.0
@@ -268,9 +258,8 @@ def test_qutrit_coherence_projector_keeps_only_the_pair_coherence():
     model = quantum_model(3)
     rng = np.random.default_rng(6)
     rho = random_density(3, rng)
-    kept = unembed_density(
-        model, coherence_projector(model, s([0, 1], 3)).apply(embed_density(model, rho))
-    )
+    coords = coherence_projector(model, s([0, 1], 3)) * embed_density(model, rho).coords
+    kept = unembed_density(model, StateVector(model.space, coords))
     expected = np.zeros_like(rho)
     expected[0, 1] = rho[0, 1]
     expected[1, 0] = rho[1, 0]
@@ -288,7 +277,7 @@ def test_quantum_slit_projectors_match_true_sandwich():
                 mask[i, i] = 1.0
             lifted = lift_superoperator(model, lambda r, m=mask: m @ r @ m)
             direct = slit_projector(model, subset)
-            assert np.max(np.abs(lifted.matrix - direct.matrix)) < 1e-12, subset
+            assert np.max(np.abs(lifted - np.diag(direct))) < 1e-12, subset
 
 
 def test_quantum_triple_coherence_vanishes():
@@ -303,7 +292,7 @@ def test_quantum_triple_coherence_vanishes():
         mask = np.zeros((3, 3), dtype=complex)
         for i in subset:
             mask[i, i] = 1.0
-        total += coeff * lift_superoperator(model, lambda r, m=mask: m @ r @ m).matrix
+        total += coeff * lift_superoperator(model, lambda r, m=mask: m @ r @ m)
     assert np.max(np.abs(total)) < 1e-12
 
 
@@ -326,14 +315,23 @@ def test_pythagoras_over_random_vectors():
 
 def test_corrupted_projectors_fail_verification():
     model = quantum_model(3)
-    family = [coherence_projector(model, sec) for sec in model.space.sectors]
-    bad = family[0].matrix.copy()
-    bad[0, 3] = 1e-3
-    family[0] = LinearMap(model.space, bad)
+    # block 0 leaks onto coordinate 3, which belongs to another block
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family[0, 3] = 1e-3
     assert not verify_coherence_completeness(model, projectors=family)
     pair, _ = coherence_orthogonality_defects(model, family)
     assert pair > 1e-9
     assert not verify_coherence_orthogonality(model, projectors=family)
+
+
+def test_projector_family_of_the_wrong_shape_is_rejected():
+    model = quantum_model(3)
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    for bad in (family[:-1], family[:, :-1], family[0]):
+        with pytest.raises(ValueError, match="projectors of 9 coordinates"):
+            coherence_completeness_defect(model, bad)
+        with pytest.raises(ValueError, match="projectors of 9 coordinates"):
+            coherence_orthogonality_defects(model, bad)
 
 
 def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=20240):
@@ -341,7 +339,7 @@ def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=2024
     through the (S, S, M) tensor of every product w_i w_j, against which the
     O(S M) version must be exact."""
     m = model.space.total_dim
-    diags = np.stack([p.diagonal for p in family])
+    diags = np.asarray(family)
     prod = diags[:, None, :] * diags[None, :, :]
     prod[np.arange(len(family)), np.arange(len(family)), :] -= diags
     pair_defect = float(np.max(np.abs(prod)))
@@ -374,22 +372,19 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     rng = np.random.default_rng(11)
     m = model.space.total_dim
     for scale in (1.0, 1e-3, 1e3):
-        family = [
-            LinearMap(model.space, diag=scale * rng.standard_normal(m))
-            for _ in model.space.sectors
-        ]
+        family = np.stack([scale * rng.standard_normal(m) for _ in model.space.sectors])
         got = coherence_orthogonality_defects(model, family)
         assert got == product_tensor_orthogonality_defects(model, family)
         assert got[0] > 0
     # entries just below 1: w_i^2 - w_i is small, so the product of two
     # different blocks sets the defect
     diags = rng.uniform(0.9, 1.0, size=(len(model.space.sectors), m))
-    family = [LinearMap(model.space, diag=d) for d in diags]
+    family = diags
     got = coherence_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
     assert got[0] > np.max(np.abs(diags * diags - diags))
     # two blocks that are the same projector overlap by exactly 1
-    family = [coherence_projector(model, sec) for sec in model.space.sectors]
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[1] = family[0]
     got = coherence_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
@@ -397,7 +392,7 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     assert not verify_coherence_orthogonality(model, projectors=family)
     # a single sector: the diagonal term alone
     single = classical_model(1)
-    family = [LinearMap(single.space, diag=np.array([-0.5]))]
+    family = np.array([[-0.5]])
     got = coherence_orthogonality_defects(single, family)
     assert got == product_tensor_orthogonality_defects(single, family)
     assert got[0] == 0.75
@@ -405,10 +400,8 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
 
 def test_orthogonality_defect_with_a_nan_fails():
     model = quantum_model(3)
-    family = [coherence_projector(model, sec) for sec in model.space.sectors]
-    diag = family[2].diagonal.copy()
-    diag[1] = np.nan
-    family[2] = LinearMap(model.space, diag=diag)
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family[2, 1] = np.nan
     pair, _ = coherence_orthogonality_defects(model, family)
     assert np.isnan(pair)
     assert not verify_coherence_orthogonality(model, projectors=family)
@@ -428,7 +421,7 @@ def test_interference_order_detection():
 def test_lift_identity_is_identity():
     model = quantum_model(3)
     lifted = lift_unitary_conjugation(model, np.eye(3))
-    assert np.max(np.abs(lifted.matrix - np.eye(9))) < 1e-12
+    assert np.max(np.abs(lifted - np.eye(9))) < 1e-12
 
 
 def test_lift_diffusion_is_orthogonal_and_fixes_uniform():
@@ -436,9 +429,9 @@ def test_lift_diffusion_is_orthogonal_and_fixes_uniform():
     n = 4
     diffusion = np.full((n, n), 2.0 / n) - np.eye(n)
     lifted = lift_unitary_conjugation(model, diffusion)
-    assert lifted.orthogonality_defect() < 1e-12
-    moved = lifted.apply(model.uniform_state)
-    assert np.max(np.abs(moved.coords - model.uniform_state.coords)) < 1e-12
+    assert orthogonality_defect(lifted) < 1e-12
+    moved = lifted @ model.uniform_state.coords
+    assert np.max(np.abs(moved - model.uniform_state.coords)) < 1e-12
 
 
 def test_lift_rejects_non_unitary():
@@ -451,16 +444,16 @@ def test_random_reversible_is_seeded_and_orthogonal():
     # a random step on the identity batch is an M x M matrix
     model = synthetic_model(4, 3)
     eye = np.eye(model.space.total_dim)
-    a = LinearMap(model.space, random_schedule(model, 123).apply(1, eye).T)
-    b = LinearMap(model.space, random_schedule(model, 123).apply(1, eye).T)
-    c = LinearMap(model.space, random_schedule(model, 124).apply(1, eye).T)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(a.matrix, c.matrix)
-    assert a.orthogonality_defect() < 1e-10
+    a = random_schedule(model, 123).apply(1, eye).T
+    b = random_schedule(model, 123).apply(1, eye).T
+    c = random_schedule(model, 124).apply(1, eye).T
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert orthogonality_defect(a) < 1e-10
     rng = np.random.default_rng(0)
     for _ in range(10):
         state = StateVector(model.space, rng.standard_normal(model.space.total_dim))
-        assert a.apply(state).norm() == pytest.approx(state.norm(), abs=1e-10)
+        assert np.linalg.norm(a @ state.coords) == pytest.approx(state.norm(), abs=1e-10)
 
 
 def test_haar_frame_is_the_leading_block_of_the_full_draw():

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from hoisearch.models import (
-    LinearMap,
     StateVector,
     classical_model,
-    coherence_projector,
     lift_unitary_conjugation,
     quantum_model,
     sign_flip_oracle,
@@ -26,7 +24,7 @@ def s(members, universe):
 def test_classical_oracle_is_identity():
     model = classical_model(5)
     for x in range(5):
-        assert np.array_equal(sign_flip_oracle(model, x).map.diagonal, np.ones(5))
+        assert np.array_equal(sign_flip_oracle(model, x), np.ones(5))
 
 
 def test_oracle_rejects_out_of_range_items():
@@ -43,13 +41,13 @@ def test_quantum_oracle_equals_phase_conjugation(n):
         phase = np.eye(n, dtype=complex)
         phase[x, x] = -1.0
         lifted = lift_unitary_conjugation(model, phase)
-        direct = sign_flip_oracle(model, x).map
-        assert np.max(np.abs(lifted.matrix - direct.matrix)) < 1e-12
+        direct = sign_flip_oracle(model, x)
+        assert np.max(np.abs(lifted - np.diag(direct))) < 1e-12
 
 
 def test_synthetic_oracle_sign_pattern():
     model = synthetic_model(4, 3)
-    diag = sign_flip_oracle(model, 0).map.diagonal
+    diag = sign_flip_oracle(model, 0)
     flipped = {
         sector for sector in model.space.sectors
         if diag[model.space.sector_slice(sector)][0] < 0
@@ -68,9 +66,9 @@ def test_synthetic_oracle_sign_pattern():
 def test_oracle_is_an_orthogonal_involution(model):
     for x in range(model.n_slits):
         oracle = sign_flip_oracle(model, x)
-        assert oracle.map.orthogonality_defect() == 0.0
-        squared = (oracle.map @ oracle.map).diagonal
-        assert np.array_equal(squared, np.ones(model.space.total_dim))
+        # a diagonal map is orthogonal iff every entry squares to 1
+        assert float(np.max(np.abs(oracle**2 - 1.0))) == 0.0
+        assert np.array_equal(oracle * oracle, np.ones(model.space.total_dim))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +77,7 @@ def test_oracle_is_an_orthogonal_involution(model):
 )
 def test_sign_flip_oracle_passes_verification_exactly(model):
     for x in range(model.n_slits):
-        check = verify_oracle(model, sign_flip_oracle(model, x).map, x)
+        check = verify_oracle(model, np.diag(sign_flip_oracle(model, x)), x)
         assert check.passed
         assert check.fixed_sector_defect == 0.0
         assert check.commutation_defect == 0.0
@@ -88,7 +86,7 @@ def test_sign_flip_oracle_passes_verification_exactly(model):
 
 def test_identity_map_is_a_valid_oracle_for_every_item():
     model = quantum_model(3)
-    identity = LinearMap.identity(model.space)
+    identity = np.eye(model.space.total_dim)
     for x in range(3):
         assert verify_oracle(model, identity, x).passed
 
@@ -103,7 +101,7 @@ def test_block_permuting_map_fails_commutation():
     m[:, list(range(a.start, a.stop)) + list(range(b.start, b.stop))] = m[
         :, list(range(b.start, b.stop)) + list(range(a.start, a.stop))
     ]
-    check = verify_oracle(model, LinearMap(model.space, m), 0)
+    check = verify_oracle(model, m, 0)
     assert check.orthogonality_defect < 1e-12
     assert check.commutation_defect > 0.5
     assert not check.passed
@@ -115,10 +113,25 @@ def test_fix_condition_catches_action_on_unmarked_sectors():
     model = quantum_model(3)
     diag = np.ones(9)
     diag[model.space.sector_slice(s([1, 2], 3))] = -1.0
-    check = verify_oracle(model, LinearMap(model.space, diag=diag), 0)
+    check = verify_oracle(model, np.diag(diag), 0)
     assert check.commutation_defect == 0.0
     assert check.fixed_sector_defect == 2.0
     assert not check.passed
+
+
+@pytest.mark.parametrize(
+    "model", [quantum_model(3), synthetic_model(4, 3)], ids=lambda m: m.kind
+)
+def test_verify_oracle_rejects_a_candidate_that_is_not_m_by_m(model):
+    m = model.space.total_dim
+    for candidate in (
+        sign_flip_oracle(model, 0),  # the diagonal alone
+        np.eye(m - 1),
+        np.eye(m + 1),
+        np.eye(m)[:, :-1],
+    ):
+        with pytest.raises(ValueError, match="candidate has shape"):
+            verify_oracle(model, candidate, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +141,8 @@ def test_fix_condition_catches_action_on_unmarked_sectors():
 def literal_displacement(model, state):
     total = 0.0
     for x in range(model.n_slits):
-        moved = sign_flip_oracle(model, x).map.apply(state)
-        total += float(np.sum((state.coords - moved.coords) ** 2))
+        moved = sign_flip_oracle(model, x) * state.coords
+        total += float(np.sum((state.coords - moved) ** 2))
     return total
 
 
@@ -178,8 +191,7 @@ def test_oracle_acts_only_on_marked_multislit_sectors():
     rng = np.random.default_rng(9)
     state = StateVector(model.space, rng.standard_normal(model.space.total_dim))
     for x in range(5):
-        moved = sign_flip_oracle(model, x).map.apply(state)
-        delta = state.coords - moved.coords
+        delta = state.coords - sign_flip_oracle(model, x) * state.coords
         for sector in model.space.sectors:
             block = delta[model.space.sector_slice(sector)]
             if x not in sector or len(sector) == 1:
