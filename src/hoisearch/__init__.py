@@ -58,7 +58,6 @@ from .search import (
     ProgressReport,
     Schedule,
     SweepResult,
-    TrajectoryPair,
     UpperBoundCheck,
     analytic_crossing_floor,
     check_lower_bound,
@@ -67,7 +66,6 @@ from .search import (
     grover_schedule,
     make_schedule,
     oracle_displacement,
-    progress_measures,
     quantum_grover_report,
     random_schedule,
     reflection_schedule,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from typing import Sequence
 
@@ -72,12 +73,22 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_seeds(text: str) -> list[int]:
     values = _parse_int_list(text)
+    if not values:
+        raise UsageError(f"--seeds needs at least one seed, got {text!r}")
     if len(values) == 1 and "," not in text:
         count = values[0]
         if count < 1:
             raise UsageError(f"seed count must be >= 1, got {count}")
         return list(range(count))
     return values
+
+
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number > 0, else an argparse usage error."""
+    value = float(text)  # argparse reports a ValueError as "invalid tolerance value"
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _order(args: argparse.Namespace) -> int | None:
@@ -403,7 +414,7 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
     parser.add_argument("--k-max", type=int, default=None, help="step budget (default ceil(4 sqrt N))")
     parser.add_argument(
         "--tol",
-        type=float,
+        type=tolerance,
         default=1e-9,
         help="bound on the per-step reversibility check of simulated runs "
         "(the closed-form quantum grover route has no step to check)",
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=6, help="grid upper bound for N")
     p_verify.add_argument("--n", default=None, help="verify a single N instead of the grid")
     p_verify.add_argument("--h", type=int, default=None, help="order for the single-N cell")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    p_verify.add_argument("--tol", type=tolerance, default=1e-9, help="numeric tolerance")
     p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 

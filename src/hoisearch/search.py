@@ -3,10 +3,11 @@
 Runs the marked-item search experiment on any sector-decomposed model: one
 trajectory per candidate marked item, interleaving the sign-flip oracle with
 a schedule of reversible maps, next to the oracle-free control trajectory.
-From the pair it derives the per-query progress measure (the summed squared
-distance between the two trajectory families), its schedule-independent
-ceiling ``4 h k^2``, the companion distances to the target states, and the
-finite-N floor that any successful run must have climbed above.
+At each query it takes the progress measure (the summed squared distance
+between the two trajectory families) from the live batch, keeping no past
+state, next to its schedule-independent ceiling ``4 h k^2``, the companion
+distances to the target states, and the finite-N floor that any successful
+run must have climbed above.
 
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
 strategy, seed, k_max) to a report; sweeps and the CLI go through it. Every
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -45,7 +46,6 @@ from .models import (
 
 __all__ = [
     "Schedule",
-    "TrajectoryPair",
     "ProgressReport",
     "UpperBoundCheck",
     "LowerBoundCheck",
@@ -60,7 +60,6 @@ __all__ = [
     "random_schedule",
     "make_schedule",
     "run_search",
-    "progress_measures",
     "quantum_grover_report",
     "run_experiment",
     "check_upper_bound",
@@ -247,95 +246,7 @@ def default_k_max(n_items: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrajectoryPair:
-    """Oracle-driven trajectories (one per marked item) and their control.
-
-    ``states_with_oracle[k, i]`` is the state after k queries when item
-    ``marked[i]`` is marked; ``states_without_oracle[k]`` applies the same
-    schedule without any query. Row 0 of both is the shared starting state.
-    """
-
-    model: Model
-    schedule: Schedule
-    marked: tuple[int, ...]
-    start: StateVector
-    states_with_oracle: np.ndarray  # (k_max + 1, n_marked, M)
-    states_without_oracle: np.ndarray  # (k_max + 1, M)
-
-    @property
-    def k_max(self) -> int:
-        return self.states_with_oracle.shape[0] - 1
-
-
-def run_search(
-    model: Model,
-    schedule: Schedule,
-    k_max: int,
-    *,
-    marked: Sequence[int] | None = None,
-    start: StateVector | None = None,
-    tol: float = DEFAULT_TOL,
-) -> TrajectoryPair:
-    """Evolve the full trajectory pair for ``k_max`` queries.
-
-    Each query applies the marked item's sign-flip oracle and then the
-    schedule step, exactly as the search experiment prescribes. Every step
-    must be reversible on the batch it acts on: it must preserve the batch
-    Gram matrix (every inner product between trajectories, hence every norm
-    and distance the bounds use) to within ``tol``, or ``NumericError`` is
-    raised.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    marked_items = tuple(range(model.n_slits)) if marked is None else tuple(marked)
-    start_state = model.uniform_state if start is None else start
-    if start_state.space != model.space:
-        raise ValueError("start state does not live on the model's space")
-
-    m_dim = model.space.total_dim
-    n_marked = len(marked_items)
-    # last batch row is the oracle-free control: its "oracle" is the identity,
-    # and sharing the batched step keeps it bit-identical to trajectories the
-    # oracle leaves untouched (the classical collapse is then exact)
-    oracle_diags = np.vstack(
-        [sign_flip_oracle(model, x) for x in marked_items]
-        + [np.ones(m_dim)]
-    )
-
-    with_states = np.empty((k_max + 1, n_marked, m_dim))
-    free_states = np.empty((k_max + 1, m_dim))
-    with_states[0] = np.tile(start_state.coords, (n_marked, 1))
-    free_states[0] = start_state.coords
-
-    batch = np.tile(start_state.coords, (n_marked + 1, 1))
-    for k in range(1, k_max + 1):
-        queried = batch * oracle_diags
-        batch = schedule.apply(k, queried)
-        defect = float(np.max(np.abs(batch @ batch.T - queried @ queried.T)))
-        if defect > tol:
-            raise NumericError(
-                f"schedule step {k} is not reversible "
-                f"(Gram defect {defect:.3e} > {tol:.1e})"
-            )
-        with_states[k] = batch[:n_marked]
-        free_states[k] = batch[n_marked]
-
-    return TrajectoryPair(
-        model=model,
-        schedule=schedule,
-        marked=marked_items,
-        start=start_state.copy(),
-        states_with_oracle=with_states,
-        states_without_oracle=free_states,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Progress measures
+# Progress reports
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -345,8 +256,10 @@ class ProgressReport:
     ``divergence`` is the summed squared distance between the oracle-driven
     and oracle-free trajectories (the quantity squeezed by the query bounds);
     ``gap_with_oracle`` / ``gap_without_oracle`` are the summed squared
-    distances of each family to the target basis states; ``pair_lower_bound``
-    is the reverse-triangle floor the divergence can never undercut.
+    distances of each family to the target basis states. ``upper_bound``, the
+    ceiling ``4 h k^2``, and ``pair_lower_bound``, the reverse-triangle floor
+    ``max(0, sqrt F_k - sqrt E_k)^2`` the divergence can never undercut, are
+    derived from those fields.
 
     A run succeeds at k when its worst marked item is found with probability
     at least 1/2 (``success_min >= 1/2``), the criterion
@@ -361,13 +274,19 @@ class ProgressReport:
     marked: Sequence[int]
     k: np.ndarray
     divergence: np.ndarray
-    upper_bound: np.ndarray
+    upper_bound: np.ndarray = field(init=False)
     gap_with_oracle: np.ndarray
     gap_without_oracle: np.ndarray
-    pair_lower_bound: np.ndarray
+    pair_lower_bound: np.ndarray = field(init=False)
     success: np.ndarray  # (k_max + 1, n_marked)
     success_mean: np.ndarray  # mean over the marked items, per k
     success_min: np.ndarray  # worst marked item, per k
+
+    def __post_init__(self) -> None:
+        self.upper_bound = 4.0 * self.order * self.k.astype(float) ** 2
+        self.pair_lower_bound = (
+            np.maximum(0.0, np.sqrt(self.gap_without_oracle) - np.sqrt(self.gap_with_oracle)) ** 2
+        )
 
     def first_crossing(self) -> int | None:
         """Smallest query count whose per-item success reaches 1/2."""
@@ -388,41 +307,78 @@ class ProgressReport:
         return len(series) - 1
 
 
-def progress_measures(model: Model, trajectories: TrajectoryPair) -> ProgressReport:
-    """Distances, bounds, and success probabilities along a trajectory pair."""
-    basis = np.stack(
-        [model.basis_states[x].coords for x in trajectories.marked]
-    )  # (X, M)
-    with_states = trajectories.states_with_oracle
-    free_states = trajectories.states_without_oracle
-    k_max = trajectories.k_max
-    ks = np.arange(k_max + 1)
+def run_search(
+    model: Model,
+    schedule: Schedule,
+    k_max: int,
+    *,
+    marked: Sequence[int] | None = None,
+    start: StateVector | None = None,
+    tol: float = DEFAULT_TOL,
+) -> ProgressReport:
+    """Run the search experiment for ``k_max`` queries and report its measures.
 
-    diff = np.empty(with_states.shape)  # one (k+1, X, M) buffer for all three
-    np.subtract(with_states, free_states[:, None, :], out=diff)
-    divergence = np.einsum("kxm,kxm->k", diff, diff)
-    np.subtract(with_states, basis[None, :, :], out=diff)
-    gap_with = np.einsum("kxm,kxm->k", diff, diff)
-    np.subtract(free_states[:, None, :], basis[None, :, :], out=diff)
-    gap_without = np.einsum("kxm,kxm->k", diff, diff)
-    success = np.einsum("kxm,xm->kx", with_states, basis)
+    Each query applies the marked item's sign-flip oracle and then the
+    schedule step, exactly as the search experiment prescribes. Every step
+    must be reversible on the batch it acts on: it must preserve the batch
+    Gram matrix (every inner product between trajectories, hence every norm
+    and distance the bounds use) to within ``tol``, or ``NumericError`` is
+    raised. The measures at query k are taken from the live batch after the
+    step, so memory is O(N M) whatever ``k_max`` is.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    marked_items = tuple(range(model.n_slits)) if marked is None else tuple(marked)
+    start_state = model.uniform_state if start is None else start
+    if start_state.space != model.space:
+        raise ValueError("start state does not live on the model's space")
 
-    pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2
-    upper = 4.0 * model.order * ks.astype(float) ** 2
+    m_dim = model.space.total_dim
+    n_marked = len(marked_items)
+    # last batch row is the oracle-free control: its "oracle" is the identity,
+    # and sharing the batched step keeps it bit-identical to trajectories the
+    # oracle leaves untouched (the classical collapse is then exact)
+    oracle_diags = np.vstack(
+        [sign_flip_oracle(model, x) for x in marked_items]
+        + [np.ones(m_dim)]
+    )
+    basis = np.stack([model.basis_states[x].coords for x in marked_items])  # (X, M)
+
+    divergence = np.empty(k_max + 1)
+    gap_with = np.empty(k_max + 1)
+    gap_without = np.empty(k_max + 1)
+    success = np.empty((k_max + 1, n_marked))
+    # with - free, with - target, free - target: one einsum call sums all three
+    diffs = np.empty((3, n_marked, m_dim))
+    batch = np.tile(start_state.coords, (n_marked + 1, 1))
+    for k in range(k_max + 1):
+        if k:
+            queried = batch * oracle_diags
+            batch = schedule.apply(k, queried)
+            defect = float(np.max(np.abs(batch @ batch.T - queried @ queried.T)))
+            if not defect <= tol:  # a NaN defect fails too
+                raise NumericError(
+                    f"schedule step {k} is not reversible "
+                    f"(Gram defect {defect:.3e} > {tol:.1e})"
+                )
+        with_states, free_state = batch[:n_marked], batch[n_marked]
+        np.subtract(with_states, free_state, out=diffs[0])
+        np.subtract(with_states, basis, out=diffs[1])
+        np.subtract(free_state, basis, out=diffs[2])
+        divergence[k], gap_with[k], gap_without[k] = np.einsum("txm,txm->t", diffs, diffs)
+        success[k] = np.einsum("xm,xm->x", with_states, basis)
 
     return ProgressReport(
         descriptor=model.descriptor(),
-        strategy=trajectories.schedule.name,
-        seed=trajectories.schedule.seed,
+        strategy=schedule.name,
+        seed=schedule.seed,
         n_slits=model.n_slits,
         order=model.order,
-        marked=trajectories.marked,
-        k=ks,
+        marked=marked_items,
+        k=np.arange(k_max + 1),
         divergence=divergence,
-        upper_bound=upper,
         gap_with_oracle=gap_with,
         gap_without_oracle=gap_without,
-        pair_lower_bound=pair_lower,
         success=success,
         success_mean=success.mean(axis=1),
         success_min=success.min(axis=1),
@@ -470,7 +426,6 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     divergence = 2.0 * n * turn_sq
     gap_with = 2.0 * n * np.cos(theta + turn) ** 2
     gap_without = np.full(k_max + 1, 2.0 * (n - 1))
-    pair_lower = np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2
 
     return ProgressReport(
         descriptor=quantum_descriptor(n),
@@ -481,10 +436,8 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
         marked=range(n),
         k=ks,
         divergence=divergence,
-        upper_bound=8.0 * ks.astype(float) ** 2,
         gap_with_oracle=gap_with,
         gap_without_oracle=gap_without,
-        pair_lower_bound=pair_lower,
         success=np.broadcast_to(per_item[:, None], (k_max + 1, n)),
         success_mean=per_item,
         success_min=per_item,
@@ -522,7 +475,7 @@ def run_experiment(
     if k_max is None:
         k_max = default_k_max(n_items)
     schedule = make_schedule(model, strategy, seed)
-    return progress_measures(model, run_search(model, schedule, k_max, tol=tol))
+    return run_search(model, schedule, k_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from hoisearch.search import (
     default_k_max,
     grover_schedule,
     oracle_displacement,
-    progress_measures,
     quantum_grover_report,
     random_schedule,
     run_search,
@@ -145,7 +144,7 @@ def test_criterion_3_oracle_equals_phase_conjugation():
 def test_criterion_4_single_iteration_exactness():
     started = time.time()
     model = quantum_model(4)
-    report = progress_measures(model, run_search(model, grover_schedule(model), 1))
+    report = run_search(model, grover_schedule(model), 1)
     success_err = float(np.max(np.abs(report.success[1] - 1.0)))
     divergence_err = abs(float(report.divergence[1]) - 6.0)
     ok = (
@@ -176,7 +175,7 @@ def test_criterion_5_upper_bound_everywhere():
     # dense-route cross-check at small N
     for n in (4, 8, 16):
         model = quantum_model(n)
-        report = progress_measures(model, run_search(model, grover_schedule(model), default_k_max(n)))
+        report = run_search(model, grover_schedule(model), default_k_max(n))
         if not check_upper_bound(report, tol=TOL_UPPER).holds:
             failures.append(f"grover dense N={n}")
     # (b) 20-seed random schedules per model family at N = 16, on step
@@ -194,9 +193,7 @@ def test_criterion_5_upper_bound_everywhere():
     runs = 0
     for model, k_max in cases:
         for seed in range(20):
-            report = progress_measures(
-                model, run_search(model, random_schedule(model, seed), k_max)
-            )
+            report = run_search(model, random_schedule(model, seed), k_max)
             runs += 1
             check = check_upper_bound(report, tol=TOL_UPPER)
             if not check.holds:

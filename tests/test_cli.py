@@ -260,6 +260,30 @@ def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):
     assert "step 1 is not reversible" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "search", "bound", "sweep"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_a_finite_positive_number(capsys, command, tol):
+    run = [] if command == "verify" else ["--model", "quantum", "--n", "8", "--strategy", "random"]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *run, "--tol", tol])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --tol: must be a finite number > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "bound", "sweep"])
+@pytest.mark.parametrize("seeds", ["", ","], ids=["empty", "comma"])
+def test_empty_seed_list_is_a_usage_error(capsys, command, seeds):
+    code, out, err = run_cli(
+        capsys, command, "--model", "quantum", "--n", "8", "--strategy", "random",
+        "--seeds", seeds,
+    )
+    assert code == 2
+    assert "--seeds needs at least one seed" in err
+    assert out == ""
+
+
 def test_usage_error_on_bad_n_list(capsys):
     code, _, err = run_cli(capsys, "sweep", "--model", "quantum", "--n", "4,x")
     assert code == 2

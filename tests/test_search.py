@@ -41,7 +41,6 @@ from hoisearch.search import (
     grover_schedule,
     make_schedule,
     oracle_displacement,
-    progress_measures,
     quantum_grover_report,
     random_schedule,
     reflection_schedule,
@@ -70,7 +69,25 @@ def assert_reports_equal(got, want, label=None):
 
 def grover_run(n, k_max):
     model = quantum_model(n)
-    return model, progress_measures(model, run_search(model, grover_schedule(model), k_max))
+    return model, run_search(model, grover_schedule(model), k_max)
+
+
+def trajectory_history(model, schedule, k_max):
+    """Every state of every trajectory, replayed with `run_search`'s loop
+    but without its reversibility check.
+
+    Returns the oracle-driven states, shape (k_max + 1, N, M), row x with
+    item x marked, and the oracle-free control states, shape (k_max + 1, M).
+    """
+    n, m_dim = model.n_slits, model.space.total_dim
+    oracle_diags = np.vstack([sign_flip_oracle(model, x) for x in range(n)] + [np.ones(m_dim)])
+    batch = np.tile(model.uniform_state.coords, (n + 1, 1))
+    history = [batch]
+    for k in range(1, k_max + 1):
+        batch = schedule.apply(k, batch * oracle_diags)
+        history.append(batch)
+    history = np.stack(history)
+    return history[:, :n], history[:, n]
 
 
 def amplitude_grover_reference(n, k_max):
@@ -211,33 +228,37 @@ def test_random_step_has_the_haar_law():
 
 def test_trajectories_start_at_the_start_state():
     model = quantum_model(4)
-    pair = run_search(model, grover_schedule(model), 2)
-    for i in range(4):
-        assert np.array_equal(pair.states_with_oracle[0, i], model.uniform_state.coords)
-    assert np.array_equal(pair.states_without_oracle[0], model.uniform_state.coords)
+    report = run_search(model, grover_schedule(model), 2)
+    # row 0: every trajectory and the control sit exactly on the start state
+    assert report.divergence[0] == 0.0
+    assert report.gap_with_oracle[0] == report.gap_without_oracle[0]
+    assert np.array_equal(
+        report.success[0], [success_probability(model, model.uniform_state, x) for x in range(4)]
+    )
 
 
 def test_trajectory_norm_conservation():
     for model in (quantum_model(4), synthetic_model(5, 3)):
-        schedule = random_schedule(model, 3)
-        pair = run_search(model, schedule, 6)
-        norms = np.linalg.norm(pair.states_with_oracle, axis=2)
-        assert np.max(np.abs(norms - 1.0)) < 1e-9
+        report = run_search(model, random_schedule(model, 3), 6)
+        # ||s_x - e_x||^2 = 2 - 2 <e_x, s_x> for unit-norm s_x and e_x
+        expected = 2.0 * len(report.marked) - 2.0 * report.success.sum(axis=1)
+        assert np.max(np.abs(report.gap_with_oracle - expected)) < 1e-9
 
 
 def test_classical_oracle_never_separates_trajectories():
     model = classical_model(6)
-    pair = run_search(model, random_schedule(model, 11), 8)
-    assert np.max(np.abs(
-        pair.states_with_oracle - pair.states_without_oracle[:, None, :]
-    )) == 0.0
+    report = run_search(model, random_schedule(model, 11), 8)
+    assert np.all(report.divergence == 0.0)
 
 
 def test_run_search_rejects_irreversible_steps():
     model = quantum_model(3)
-    bad = Schedule("bad", lambda _k, rows: 2.0 * rows)
-    with pytest.raises(NumericError, match="not reversible"):
-        run_search(model, bad, 1)
+    scaled = Schedule("scaled", lambda _k, rows: 2.0 * rows)
+    # a NaN defect is no smaller than any tolerance either
+    nan_rows = Schedule("nan", lambda _k, rows: np.full_like(rows, np.nan))
+    for bad in (scaled, nan_rows):
+        with pytest.raises(NumericError, match="not reversible"):
+            run_search(model, bad, 1)
 
 
 def test_run_search_checks_every_fresh_step():
@@ -265,14 +286,28 @@ def test_random_run_builds_no_m_by_m_matrix():
     assert peak < 32e6
 
 
+def test_run_memory_does_not_grow_with_k():
+    # classical(256) has M = 256: a (k_max + 1, N, M) history of the run
+    # would alone be 65 * 256 * 256 * 8 B = 34 MB
+    tracemalloc.start()
+    try:
+        run_experiment("classical", 256, k_max=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_run_search_marked_subset_and_accessors():
     model = quantum_model(4)
-    pair = run_search(model, grover_schedule(model), 1, marked=(2,))
-    assert pair.marked == (2,)
-    state = StateVector(model.space, pair.states_with_oracle[1, pair.marked.index(2)])
-    assert success_probability(model, state, 2) == pytest.approx(1.0, abs=1e-9)
-    control = StateVector(model.space, pair.states_without_oracle[0])
-    assert control.coords == pytest.approx(model.uniform_state.coords)
+    report = run_search(model, grover_schedule(model), 1, marked=(2,))
+    assert report.marked == (2,)
+    assert report.success.shape == (2, 1)
+    assert report.success[0, 0] == pytest.approx(0.25)
+    assert report.success[1, 0] == pytest.approx(1.0, abs=1e-9)
+    # the control starts on the uniform state, which the diffusion fixes
+    assert report.divergence[0] == 0.0
+    assert report.gap_without_oracle[1] == pytest.approx(report.gap_without_oracle[0], abs=1e-9)
 
 
 def test_run_search_rejects_foreign_start_state():
@@ -391,13 +426,10 @@ def test_pure_state_distance_identity():
     assert report.gap_with_oracle == pytest.approx(expected, abs=1e-9)
 
 
-def three_buffer_progress_measures(model, trajectories):
-    """Reference `progress_measures` with one (k+1, X, M) difference array
-    per measure, against which the shared-buffer version must be exact."""
-    basis = np.stack([model.basis_states[x].coords for x in trajectories.marked])
-    with_states = trajectories.states_with_oracle
-    free_states = trajectories.states_without_oracle
-    ks = np.arange(trajectories.k_max + 1)
+def three_buffer_measures(model, with_states, free_states):
+    """Reference measures on a stored history, with one (k+1, X, M)
+    difference array per measure: (D_k, E_k, F_k, success)."""
+    basis = np.stack([model.basis_states[x].coords for x in range(model.n_slits)])
     diff_pair = with_states - free_states[:, None, :]
     divergence = np.einsum("kxm,kxm->k", diff_pair, diff_pair)
     diff_target = with_states - basis[None, :, :]
@@ -405,23 +437,7 @@ def three_buffer_progress_measures(model, trajectories):
     diff_free = free_states[:, None, :] - basis[None, :, :]
     gap_without = np.einsum("kxm,kxm->k", diff_free, diff_free)
     success = np.einsum("kxm,xm->kx", with_states, basis)
-    return ProgressReport(
-        descriptor=model.descriptor(),
-        strategy=trajectories.schedule.name,
-        seed=trajectories.schedule.seed,
-        n_slits=model.n_slits,
-        order=model.order,
-        marked=trajectories.marked,
-        k=ks,
-        divergence=divergence,
-        upper_bound=4.0 * model.order * ks.astype(float) ** 2,
-        gap_with_oracle=gap_with,
-        gap_without_oracle=gap_without,
-        pair_lower_bound=np.maximum(0.0, np.sqrt(gap_without) - np.sqrt(gap_with)) ** 2,
-        success=success,
-        success_mean=success.mean(axis=1),
-        success_min=success.min(axis=1),
-    )
+    return divergence, gap_with, gap_without, success
 
 
 @pytest.mark.parametrize(
@@ -435,11 +451,20 @@ def three_buffer_progress_measures(model, trajectories):
 )
 def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
     schedule = make_schedule(model, strategy, seed=3)
-    trajectories = run_search(model, schedule, default_k_max(model.n_slits))
-    assert_reports_equal(
-        progress_measures(model, trajectories),
-        three_buffer_progress_measures(model, trajectories),
+    k_max = default_k_max(model.n_slits)
+    report = run_search(model, schedule, k_max)
+    divergence, gap_with, gap_without, success = three_buffer_measures(
+        model, *trajectory_history(model, schedule, k_max)
     )
+    assert np.array_equal(report.success, success)
+    # per-k sums of X * M terms, which einsum may reduce in another order over
+    # a (3, X, M) stack than over a (k_max + 1, X, M) one
+    for name, got, want in (
+        ("D_k", report.divergence, divergence),
+        ("E_k", report.gap_with_oracle, gap_with),
+        ("F_k", report.gap_without_oracle, gap_without),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
 
 
 def test_divergence_dominates_pair_lower_bound():
@@ -449,19 +474,18 @@ def test_divergence_dominates_pair_lower_bound():
         (classical_model(5), None),
     ):
         schedule = random_schedule(model, 17)
-        report = progress_measures(model, run_search(model, schedule, 6))
+        report = run_search(model, schedule, 6)
         assert np.all(report.divergence >= report.pair_lower_bound - 1e-9)
 
 
 def test_one_step_recursion_inequality():
     # D_{k+1} <= (sqrt(D_k) + sqrt(displacement of the control state))^2
     for model in (quantum_model(4), synthetic_model(4, 4), classical_model(6)):
-        pair = run_search(model, random_schedule(model, 23), 7)
-        report = progress_measures(model, pair)
-        for k in range(pair.k_max):
-            moved = oracle_displacement(
-                model, StateVector(model.space, pair.states_without_oracle[k])
-            )
+        schedule = random_schedule(model, 23)
+        report = run_search(model, schedule, 7)
+        _, free_states = trajectory_history(model, schedule, 7)
+        for k in range(7):
+            moved = oracle_displacement(model, StateVector(model.space, free_states[k]))
             ceiling = (math.sqrt(report.divergence[k]) + math.sqrt(moved)) ** 2
             assert report.divergence[k + 1] <= ceiling + 1e-9
 
@@ -470,10 +494,7 @@ def test_first_crossing_and_first_peak():
     _, report = grover_run(16, 8)
     assert report.first_crossing() == 2
     assert report.first_peak() == 3
-    flat = progress_measures(
-        classical_model(8),
-        run_search(classical_model(8), make_schedule(classical_model(8), "reflect"), 5),
-    )
+    flat = run_search(classical_model(8), make_schedule(classical_model(8), "reflect"), 5)
     assert flat.first_crossing() is None
     assert flat.first_peak() == 5  # flat series degenerates to the last index
 
@@ -520,7 +541,7 @@ def test_lower_bound_check_at_crossing():
 
 def test_lower_bound_check_is_vacuous_without_crossing():
     model = classical_model(8)
-    report = progress_measures(model, run_search(model, make_schedule(model, "reflect"), 4))
+    report = run_search(model, make_schedule(model, "reflect"), 4)
     check = check_lower_bound(report)
     assert not check.crossed and check.holds and check.crossing_k is None
 
