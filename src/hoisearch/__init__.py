@@ -32,14 +32,12 @@ from .models import (
     NumericError,
     OracleCheck,
     SectorSpace,
-    StateVector,
     build_model,
     build_sector_space,
     classical_model,
     coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
-    inner,
     interference_order,
     lift_superoperator,
     lift_unitary_conjugation,
@@ -72,8 +70,6 @@ from .search import (
     run_experiment,
     run_search,
     scaling_sweep,
-    success_probability,
-    uniform_start,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,10 +5,12 @@ and one real coordinate block per slit subset of size at most h. Coordinates
 are chosen orthonormal for the self-dualising inner product, so the inner
 product is the plain Euclidean dot product, reversible dynamics are exactly
 the orthogonal matrices, and every coherence projector is an axis-aligned
-block indicator. Projectors and sign-flip oracles are diagonal in these
-coordinates and are returned as their diagonals, plain ``(M,)`` arrays; only
-`verify_oracle` and the quantum lifts take or return an ``(M, M)`` matrix.
-Three families are provided:
+block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
+N distinguished basis states are unit vectors given by their coordinate
+index (`Model.basis_index`), not stored. Projectors and sign-flip oracles
+are diagonal in these coordinates and are returned as their diagonals, also
+``(M,)`` arrays; only `verify_oracle` and the quantum lifts take or return
+an ``(M, M)`` matrix. Three families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
 * quantum (h = 2): N x N density matrices embedded as real vectors, with the
@@ -37,7 +39,6 @@ from .subsets import (
 
 __all__ = [
     "SectorSpace",
-    "StateVector",
     "OracleCheck",
     "Model",
     "build_sector_space",
@@ -57,7 +58,6 @@ __all__ = [
     "lift_unitary_conjugation",
     "conjugate_rows",
     "haar_orthogonal",
-    "inner",
     "coherence_completeness_defect",
     "verify_coherence_completeness",
     "coherence_orthogonality_defects",
@@ -89,7 +89,6 @@ class SectorSpace:
     n_slits: int
     order: int
     sectors: tuple[SlitSet, ...]
-    dims: Mapping[SlitSet, int]
     offsets: Mapping[SlitSet, int]
     dims_per_size: Mapping[int, int]
     total_dim: int
@@ -98,7 +97,7 @@ class SectorSpace:
         if sector not in self.offsets:
             raise ValueError(f"unknown sector {sector!r} for this space")
         start = self.offsets[sector]
-        return slice(start, start + self.dims[sector])
+        return slice(start, start + self.dims_per_size[len(sector)])
 
     @functools.cached_property
     def _density_index(self) -> tuple[np.ndarray, ...]:
@@ -113,51 +112,14 @@ class SectorSpace:
         rows, cols = pairs.reshape(-1, 2).T
         return offsets[:n], rows, cols, offsets[n:]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SectorSpace):
-            return NotImplemented
-        return (
-            self.n_slits == other.n_slits
-            and self.order == other.order
-            and dict(self.dims_per_size) == dict(other.dims_per_size)
-        )
-
-
-@dataclass
-class StateVector:
-    """A real coordinate vector partitioned across the sectors of a space."""
-
-    space: SectorSpace
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.space.total_dim,):
-            raise ValueError(
-                f"coordinate vector has shape {coords.shape}, "
-                f"expected ({self.space.total_dim},)"
-            )
-        self.coords = coords
-
-    def sector_component(self, sector: SlitSet) -> np.ndarray:
-        """The coordinates living on one coherence block."""
-        return self.coords[self.space.sector_slice(sector)]
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.space, self.coords.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A concrete theory carrier: space, distinguished basis, uniform state."""
+    """A concrete theory carrier: a space and its uniform state, ``(M,)``."""
 
     kind: str
     space: SectorSpace
-    basis_states: tuple[StateVector, ...]
-    uniform_state: StateVector
+    uniform_state: np.ndarray
 
     @property
     def n_slits(self) -> int:
@@ -167,12 +129,19 @@ class Model:
     def order(self) -> int:
         return self.space.order
 
+    @property
+    def basis_index(self) -> np.ndarray:
+        """Coordinate of each distinguished basis state, shape ``(N,)``.
+
+        Basis state i is the unit vector on the first coordinate of singleton
+        block i; the singleton blocks lead the layout (`enumerate_sectors`),
+        each ``dims_per_size[1]`` coordinates wide.
+        """
+        return np.arange(self.n_slits, dtype=np.intp) * self.space.dims_per_size[1]
+
     def descriptor(self) -> dict:
         """JSON-serialisable description sufficient to rebuild the model."""
         return _descriptor(self.kind, self.n_slits, self.order, self.space.dims_per_size)
-
-    def descriptor_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -213,7 +182,6 @@ def build_sector_space(
     to `order`; missing or non-positive entries are rejected.
     """
     sectors = tuple(enumerate_sectors(n_slits, order))
-    dims: dict[SlitSet, int] = {}
     per_size: dict[int, int] = {}
     for size in range(1, order + 1):
         if size not in dims_per_size:
@@ -225,15 +193,12 @@ def build_sector_space(
     offsets: dict[SlitSet, int] = {}
     total = 0
     for sector in sectors:
-        dim = per_size[len(sector)]
-        dims[sector] = dim
         offsets[sector] = total
-        total += dim
+        total += per_size[len(sector)]
     return SectorSpace(
         n_slits=n_slits,
         order=order,
         sectors=sectors,
-        dims=dims,
         offsets=offsets,
         dims_per_size=per_size,
         total_dim=total,
@@ -248,11 +213,7 @@ def classical_model(n_slits: int) -> Model:
     mixed state.
     """
     space = build_sector_space(n_slits, 1, {1: 1})
-    basis = tuple(
-        StateVector(space, _unit_vector(space.total_dim, i)) for i in range(n_slits)
-    )
-    uniform = StateVector(space, np.full(space.total_dim, 1.0 / n_slits))
-    return Model("classical", space, basis, uniform)
+    return Model("classical", space, np.full(space.total_dim, 1.0 / n_slits))
 
 
 def quantum_model(n_slits: int) -> Model:
@@ -267,9 +228,8 @@ def quantum_model(n_slits: int) -> Model:
     if n_slits < 2:
         raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
     space = build_sector_space(n_slits, 2, QUANTUM_DIMS_PER_SIZE)
-    basis = tuple(StateVector(space, _embed(space, np.diag(row))) for row in np.eye(n_slits))
-    uniform = StateVector(space, _embed(space, np.full((n_slits, n_slits), 1.0 / n_slits)))
-    return Model("quantum", space, basis, uniform)
+    uniform = _embed(space, np.full((n_slits, n_slits), 1.0 / n_slits))
+    return Model("quantum", space, uniform)
 
 
 def synthetic_model(
@@ -288,24 +248,16 @@ def synthetic_model(
     if dims_per_size is None:
         dims_per_size = {size: 1 for size in range(1, order + 1)}
     space = build_sector_space(n_slits, order, dims_per_size)
-    basis = []
-    singleton_index = np.zeros(space.total_dim, dtype=bool)
-    for i in range(n_slits):
-        sector = SlitSet((i,), n_slits)
-        off = space.offsets[sector]
-        basis.append(StateVector(space, _unit_vector(space.total_dim, off)))
-        singleton_index[space.sector_slice(sector)] = True
-
+    # the singleton blocks lead the layout (see `Model.basis_index`), so every
+    # coordinate past them belongs to a higher sector
+    width = space.dims_per_size[1]
     coords = np.zeros(space.total_dim)
-    for i in range(n_slits):
-        coords[space.offsets[SlitSet((i,), n_slits)]] = 1.0 / n_slits
-    higher = ~singleton_index
-    n_higher = int(higher.sum())
+    coords[: n_slits * width : width] = 1.0 / n_slits
+    n_higher = space.total_dim - n_slits * width
     if n_higher > 0:
         residual = 1.0 - n_slits * (1.0 / n_slits) ** 2
-        coords[higher] = np.sqrt(residual / n_higher)
-    uniform = StateVector(space, coords)
-    return Model("synthetic", space, tuple(basis), uniform)
+        coords[-n_higher:] = np.sqrt(residual / n_higher)
+    return Model("synthetic", space, coords)
 
 
 def build_model(
@@ -489,21 +441,20 @@ def _unembed(space: SectorSpace, coords: np.ndarray) -> np.ndarray:
     return rho
 
 
-def embed_density(model: Model, rho: np.ndarray) -> StateVector:
+def embed_density(model: Model, rho: np.ndarray) -> np.ndarray:
     """Embed a Hermitian N x N matrix into the quantum model's coordinates."""
     _require_quantum(model)
     rho = np.asarray(rho, dtype=complex)
     n = model.space.n_slits
     if rho.shape != (n, n):
         raise ValueError(f"matrix has shape {rho.shape}, expected ({n}, {n})")
-    return StateVector(model.space, _embed(model.space, rho))
+    return _embed(model.space, rho)
 
 
-def unembed_density(model: Model, state: StateVector) -> np.ndarray:
+def unembed_density(model: Model, state: np.ndarray) -> np.ndarray:
     """Invert `embed_density`; always returns a Hermitian matrix."""
     _require_quantum(model)
-    _check_same_space(model.space, state.space)
-    return _unembed(model.space, state.coords)
+    return _unembed(model.space, _check_state(model, state))
 
 
 def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -551,13 +502,17 @@ def _require_quantum(model: Model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Inner product, randomness, verification
+# States, randomness, verification
 # ---------------------------------------------------------------------------
 
-def inner(left: StateVector, right: StateVector) -> float:
-    """Self-dualising inner product; Euclidean in these coordinates."""
-    _check_same_space(left.space, right.space)
-    return float(np.dot(left.coords, right.coords))
+def _check_state(model: Model, state: np.ndarray) -> np.ndarray:
+    """A state of the model as a float array, after checking its shape ``(M,)``."""
+    coords = np.asarray(state, dtype=float)
+    if coords.shape != (model.space.total_dim,):
+        raise ValueError(
+            f"state has shape {coords.shape}, expected ({model.space.total_dim},)"
+        )
+    return coords
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
@@ -672,16 +627,3 @@ def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
     for subset, coeff in expansion.items():
         diag += coeff * slit_projector(model, subset)
     return diag
-
-
-def _unit_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
-
-
-def _check_same_space(a: SectorSpace, b: SectorSpace) -> None:
-    if a is b:
-        return
-    if a != b:
-        raise ValueError("objects live on different sector spaces")

@@ -7,7 +7,9 @@ At each query it takes the progress measure (the summed squared distance
 between the two trajectory families) from the live batch, keeping no past
 state, next to its schedule-independent ceiling ``4 h k^2``, the companion
 distances to the target states, and the finite-N floor that any successful
-run must have climbed above.
+run must have climbed above. States are plain ``(M,)`` arrays of sector
+coordinates and a batch of trajectories is an ``(r, M)`` array; the target
+of marked item x is the unit vector at ``model.basis_index[x]``.
 
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
 strategy, seed, k_max) to a report; sweeps and the CLI go through it. Every
@@ -35,11 +37,10 @@ from .models import (
     DEFAULT_TOL,
     Model,
     NumericError,
-    StateVector,
+    _check_state,
     build_model,
     conjugate_rows,
     haar_orthogonal,
-    inner,
     quantum_descriptor,
     sign_flip_oracle,
 )
@@ -51,8 +52,6 @@ __all__ = [
     "LowerBoundCheck",
     "SweepRow",
     "SweepResult",
-    "uniform_start",
-    "success_probability",
     "oracle_displacement",
     "diffusion_unitary",
     "grover_schedule",
@@ -116,25 +115,7 @@ SWEEP_CSV_COLUMNS = (
 # Elementary quantities
 # ---------------------------------------------------------------------------
 
-def uniform_start(model: Model) -> StateVector:
-    """The canonical starting state of the search experiment."""
-    return model.uniform_state.copy()
-
-
-def success_probability(model: Model, state: StateVector, marked: int) -> float:
-    """Overlap of a state with the marked basis state.
-
-    For classical and quantum states this is the probability of finding the
-    marked item; exploratory synthetic dynamics can leave the physical state
-    set, in which case the raw overlap (possibly outside [0, 1]) is reported
-    unclamped.
-    """
-    if not 0 <= marked < model.n_slits:
-        raise ValueError(f"marked item {marked} out of range 0..{model.n_slits - 1}")
-    return inner(model.basis_states[marked], state)
-
-
-def oracle_displacement(model: Model, state: StateVector) -> float:
+def oracle_displacement(model: Model, state: np.ndarray) -> float:
     """How far one query moves a state, summed over all possible marked items.
 
     Sum over x of ``|| (1 - O_x) s ||^2``. Because each oracle doubles exactly
@@ -144,13 +125,12 @@ def oracle_displacement(model: Model, state: StateVector) -> float:
     literal per-oracle evaluation.
     """
     space = model.space
-    if state.space != space:
-        raise ValueError("state does not live on the model's space")
+    coords = _check_state(model, state)
     total = 0.0
     for sector in space.sectors:
         size = len(sector)
         if size > 1:
-            block = state.coords[space.sector_slice(sector)]
+            block = coords[space.sector_slice(sector)]
             total += 4.0 * size * float(np.dot(block, block))
     return total
 
@@ -198,7 +178,7 @@ def reflection_schedule(model: Model) -> Schedule:
     reflection is not the lift of the amplitude-space diffusion unitary;
     the ``grover`` schedule uses the conjugation instead.
     """
-    axis = model.uniform_state.coords
+    axis = model.uniform_state
     sq = float(np.dot(axis, axis))
     if sq <= 0.0:
         raise ValueError("cannot reflect about the zero vector")
@@ -259,7 +239,10 @@ class ProgressReport:
     distances of each family to the target basis states. ``upper_bound``, the
     ceiling ``4 h k^2``, and ``pair_lower_bound``, the reverse-triangle floor
     ``max(0, sqrt F_k - sqrt E_k)^2`` the divergence can never undercut, are
-    derived from those fields.
+    derived from those fields. ``success`` is each trajectory's overlap with
+    its target: the probability of finding the marked item on classical and
+    quantum models, and on synthetic ones the raw overlap, which exploratory
+    dynamics can take outside [0, 1].
 
     A run succeeds at k when its worst marked item is found with probability
     at least 1/2 (``success_min >= 1/2``), the criterion
@@ -313,7 +296,7 @@ def run_search(
     k_max: int,
     *,
     marked: Sequence[int] | None = None,
-    start: StateVector | None = None,
+    start: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ProgressReport:
     """Run the search experiment for ``k_max`` queries and report its measures.
@@ -324,14 +307,15 @@ def run_search(
     Gram matrix (every inner product between trajectories, hence every norm
     and distance the bounds use) to within ``tol``, or ``NumericError`` is
     raised. The measures at query k are taken from the live batch after the
-    step, so memory is O(N M) whatever ``k_max`` is.
+    step, so memory is O(N M) whatever ``k_max`` is. ``start`` is an ``(M,)``
+    array, the model's uniform state by default; only its shape is checked.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     marked_items = tuple(range(model.n_slits)) if marked is None else tuple(marked)
-    start_state = model.uniform_state if start is None else start
-    if start_state.space != model.space:
-        raise ValueError("start state does not live on the model's space")
+    if not marked_items:
+        raise ValueError("need at least one marked item")
+    start_state = model.uniform_state if start is None else _check_state(model, start)
 
     m_dim = model.space.total_dim
     n_marked = len(marked_items)
@@ -342,7 +326,9 @@ def run_search(
         [sign_flip_oracle(model, x) for x in marked_items]
         + [np.ones(m_dim)]
     )
-    basis = np.stack([model.basis_states[x].coords for x in marked_items])  # (X, M)
+    # target rows: basis state x is the unit vector at basis_index[x]
+    basis = np.zeros((n_marked, m_dim))
+    basis[np.arange(n_marked), model.basis_index[list(marked_items)]] = 1.0
 
     divergence = np.empty(k_max + 1)
     gap_with = np.empty(k_max + 1)
@@ -350,7 +336,7 @@ def run_search(
     success = np.empty((k_max + 1, n_marked))
     # with - free, with - target, free - target: one einsum call sums all three
     diffs = np.empty((3, n_marked, m_dim))
-    batch = np.tile(start_state.coords, (n_marked + 1, 1))
+    batch = np.tile(start_state, (n_marked + 1, 1))
     for k in range(k_max + 1):
         if k:
             queried = batch * oracle_diags

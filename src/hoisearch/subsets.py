@@ -14,7 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "EnumerationLimitError",
@@ -62,10 +62,6 @@ class SlitSet:
                 f"slit indices {members} out of range for universe {self.universe}"
             )
 
-    @classmethod
-    def of(cls, members: Iterable[int], universe: int) -> "SlitSet":
-        return cls(tuple(members), universe)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -91,10 +87,6 @@ class SlitSet:
         for i in self.members:
             m |= 1 << i
         return m
-
-    def issubset(self, other: "SlitSet") -> bool:
-        self._check_universe(other)
-        return set(self.members) <= set(other.members)
 
     def intersection(self, other: "SlitSet") -> "SlitSet":
         self._check_universe(other)

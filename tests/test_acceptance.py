@@ -12,7 +12,6 @@ import numpy as np
 
 from hoisearch.cli import main as cli_main
 from hoisearch.models import (
-    StateVector,
     classical_model,
     coherence_completeness_defect,
     coherence_orthogonality_defects,
@@ -227,7 +226,7 @@ def test_criterion_6_displacement_bound():
         for _ in range(1000):
             coords = rng.standard_normal(model.space.total_dim)
             coords /= np.linalg.norm(coords)
-            value = oracle_displacement(model, StateVector(model.space, coords))
+            value = oracle_displacement(model, coords)
             worst_margin = max(worst_margin, value - bound)
             if value > bound + 1e-9:
                 failures.append(f"{model.kind} h={model.order}: {value} > {bound}")

@@ -6,19 +6,18 @@ algebra is checked as matrix identities, not assumed from the construction.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hoisearch.models import (
-    StateVector,
     build_sector_space,
     classical_model,
     coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
     haar_orthogonal,
-    inner,
     interference_order,
     lift_superoperator,
     lift_unitary_conjugation,
@@ -33,7 +32,12 @@ from hoisearch.models import (
     coherence_completeness_defect,
     coherence_orthogonality_defects,
 )
-from hoisearch.search import random_schedule
+from hoisearch.search import (
+    oracle_displacement,
+    random_schedule,
+    reflection_schedule,
+    run_search,
+)
 from hoisearch.subsets import SlitSet
 
 
@@ -81,38 +85,86 @@ def test_build_sector_space_validation():
 
 
 def test_state_vector_validation_and_views():
+    # a state is a plain (M,) array: a block is a slice of it, and every
+    # function taking a state checks its shape
     model = quantum_model(3)
     state = model.uniform_state
-    block = state.sector_component(s([0, 1], 3))
+    block = state[model.space.sector_slice(s([0, 1], 3))]
     assert block.shape == (2,)
-    with pytest.raises(ValueError):
-        StateVector(model.space, np.zeros(5))
+    for bad in (np.zeros(5), np.zeros((1, 9)), np.zeros(16)):
+        with pytest.raises(ValueError, match="state has shape"):
+            unembed_density(model, bad)
+        with pytest.raises(ValueError, match="state has shape"):
+            oracle_displacement(model, bad)
+        with pytest.raises(ValueError, match="state has shape"):
+            run_search(model, reflection_schedule(model), 1, start=bad)
 
 
 # ---------------------------------------------------------------------------
 # Model families
 # ---------------------------------------------------------------------------
 
+def basis_vectors(model):
+    """The (N, M) stack of basis unit vectors that `Model.basis_index` selects."""
+    return np.eye(model.space.total_dim)[model.basis_index]
+
+
 def test_classical_model_basics():
     model = classical_model(4)
-    for i, basis in enumerate(model.basis_states):
-        expected = np.zeros(4)
-        expected[i] = 1.0
-        assert np.array_equal(basis.coords, expected)
-    assert model.uniform_state.norm() == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(basis_vectors(model), np.eye(4))
+    assert np.linalg.norm(model.uniform_state) == pytest.approx(0.5, abs=1e-12)
     assert interference_order(model) == 1
 
 
 def test_quantum_model_basics():
     model = quantum_model(3)
-    assert np.array_equal(
-        model.basis_states[0].coords, np.array([1, 0, 0, 0, 0, 0, 0, 0, 0.0])
-    )
-    assert model.uniform_state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(basis_vectors(model)[0], np.array([1, 0, 0, 0, 0, 0, 0, 0, 0.0]))
+    assert np.linalg.norm(model.uniform_state) == pytest.approx(1.0, abs=1e-12)
     model4 = quantum_model(4)
-    assert inner(model4.basis_states[2], model4.uniform_state) == pytest.approx(0.25)
+    assert model4.uniform_state[model4.basis_index[2]] == pytest.approx(0.25)
     with pytest.raises(ValueError):
         quantum_model(1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        classical_model(5),
+        quantum_model(4),
+        synthetic_model(5, 3),
+        synthetic_model(4, 3, {1: 2, 2: 3, 3: 1}),
+    ],
+    ids=["classical", "quantum", "synthetic", "synthetic-wide"],
+)
+def test_basis_index_selects_the_unit_basis_states(model):
+    # each family's basis state i, built the way the family defines it: a
+    # probability vector, the embedded projector |i><i|, and the unit vector
+    # on the first coordinate of singleton block i
+    n, m = model.n_slits, model.space.total_dim
+    if model.kind == "quantum":
+        expected = np.stack([embed_density(model, np.diag(row)) for row in np.eye(n)])
+    else:
+        expected = np.zeros((n, m))
+        for i in range(n):
+            expected[i, model.space.offsets[s([i], n)]] = 1.0
+    assert model.basis_index.shape == (n,)
+    assert model.basis_index.dtype == np.intp
+    assert np.array_equal(basis_vectors(model), expected)
+
+
+def test_model_holds_no_dense_basis():
+    # N dense (M,) basis vectors would be 8 MB at N = 1024; the model keeps
+    # the layout and one (M,) state
+    classical_model(4)  # warm every first-call cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = classical_model(1024)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert model.space.total_dim == 1024
+    assert retained < 1_000_000, retained
 
 
 def test_quantum_embedding_round_trip_and_hs_inner():
@@ -122,7 +174,7 @@ def test_quantum_embedding_round_trip_and_hs_inner():
         rho, sigma = random_density(4, rng), random_density(4, rng)
         assert np.max(np.abs(unembed_density(model, embed_density(model, rho)) - rho)) < 1e-12
         hs = np.trace(rho @ sigma).real  # brute-force Hilbert-Schmidt pairing
-        assert inner(embed_density(model, rho), embed_density(model, sigma)) == pytest.approx(
+        assert np.dot(embed_density(model, rho), embed_density(model, sigma)) == pytest.approx(
             hs, abs=1e-12
         )
 
@@ -145,7 +197,7 @@ def test_quantum_embedding_matches_per_entry_reference():
                 i, j = sector.members
                 coords[off] = np.sqrt(2.0) * rho[i, j].real
                 coords[off + 1] = np.sqrt(2.0) * rho[i, j].imag
-        assert np.array_equal(embed_density(model, rho).coords, coords), n
+        assert np.array_equal(embed_density(model, rho), coords), n
         back = np.zeros((n, n), dtype=complex)
         for sector in space.sectors:
             off = space.offsets[sector]
@@ -155,7 +207,7 @@ def test_quantum_embedding_matches_per_entry_reference():
                 i, j = sector.members
                 back[i, j] = (coords[off] + 1j * coords[off + 1]) * (1.0 / np.sqrt(2.0))
                 back[j, i] = back[i, j].conjugate()
-        assert np.array_equal(unembed_density(model, StateVector(space, coords)), back), n
+        assert np.array_equal(unembed_density(model, coords), back), n
 
 
 def test_quantum_pure_states_have_unit_norm():
@@ -165,49 +217,49 @@ def test_quantum_pure_states_have_unit_norm():
         vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         vec /= np.linalg.norm(vec)
         state = embed_density(model, np.outer(vec, vec.conj()))
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_synthetic_model_uniform_state():
     model = synthetic_model(4, 2)
-    higher = model.uniform_state.coords[4:]
+    higher = model.uniform_state[4:]
     assert np.allclose(higher, 0.35355339059327373)
-    assert model.uniform_state.norm() == pytest.approx(1.0, abs=1e-12)
-    for n, h in [(4, 2), (5, 3), (4, 4), (6, 1)]:
-        m = synthetic_model(n, h)
-        for x in range(n):
-            assert inner(m.basis_states[x], m.uniform_state) == pytest.approx(1.0 / n)
+    assert np.linalg.norm(model.uniform_state) == pytest.approx(1.0, abs=1e-12)
+    for n, h, dims in [(4, 2, None), (5, 3, None), (4, 4, None), (6, 1, None),
+                       (4, 3, {1: 2, 2: 3, 3: 1})]:
+        m = synthetic_model(n, h, dims)
+        assert basis_vectors(m) @ m.uniform_state == pytest.approx(np.full(n, 1.0 / n))
+        assert np.linalg.norm(m.uniform_state) == pytest.approx(1.0 if h > 1 else n**-0.5)
 
 
 def test_synthetic_model_full_order_has_full_sector_weight():
     model = synthetic_model(3, 3)
-    full = model.uniform_state.sector_component(s([0, 1, 2], 3))
+    full = model.uniform_state[model.space.sector_slice(s([0, 1, 2], 3))]
     assert full[0] > 0
 
 
 def test_synthetic_model_order_one_is_classically_mixed():
     model = synthetic_model(4, 1)
-    assert model.uniform_state.norm() == pytest.approx(0.5, abs=1e-12)
+    assert np.linalg.norm(model.uniform_state) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_basis_states_are_orthonormal_everywhere():
     for model in (classical_model(5), quantum_model(4), synthetic_model(5, 3)):
-        for i, a in enumerate(model.basis_states):
-            for j, b in enumerate(model.basis_states):
-                assert inner(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
-def test_inner_rejects_space_mismatch():
-    with pytest.raises(ValueError):
-        inner(classical_model(3).uniform_state, classical_model(4).uniform_state)
+        basis = basis_vectors(model)
+        assert np.array_equal(basis @ basis.T, np.eye(model.n_slits))
 
 
 def test_model_descriptor_round_trip():
     for model in (classical_model(3), quantum_model(4), synthetic_model(5, 3)):
-        clone = model_from_descriptor(json.loads(model.descriptor_json()))
+        text = json.dumps(model.descriptor(), sort_keys=True)
+        clone = model_from_descriptor(json.loads(text))
         assert clone.kind == model.kind
-        assert clone.space == model.space
-        assert np.array_equal(clone.uniform_state.coords, model.uniform_state.coords)
+        assert clone.descriptor() == model.descriptor()
+        assert clone.space.offsets == model.space.offsets
+        assert clone.space.total_dim == model.space.total_dim
+        assert np.array_equal(clone.uniform_state, model.uniform_state)
+        assert np.array_equal(clone.basis_index, model.basis_index)
+        assert model_from_descriptor(text).descriptor() == model.descriptor()
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +298,8 @@ def test_qutrit_slit_projector_zeroes_blocked_row_and_column():
     model = quantum_model(3)
     rng = np.random.default_rng(5)
     rho = random_density(3, rng)
-    coords = slit_projector(model, s([0, 1], 3)) * embed_density(model, rho).coords
-    projected = unembed_density(model, StateVector(model.space, coords))
+    coords = slit_projector(model, s([0, 1], 3)) * embed_density(model, rho)
+    projected = unembed_density(model, coords)
     expected = rho.copy()
     expected[2, :] = 0.0
     expected[:, 2] = 0.0
@@ -258,8 +310,8 @@ def test_qutrit_coherence_projector_keeps_only_the_pair_coherence():
     model = quantum_model(3)
     rng = np.random.default_rng(6)
     rho = random_density(3, rng)
-    coords = coherence_projector(model, s([0, 1], 3)) * embed_density(model, rho).coords
-    kept = unembed_density(model, StateVector(model.space, coords))
+    coords = coherence_projector(model, s([0, 1], 3)) * embed_density(model, rho)
+    kept = unembed_density(model, coords)
     expected = np.zeros_like(rho)
     expected[0, 1] = rho[0, 1]
     expected[1, 0] = rho[1, 0]
@@ -306,11 +358,12 @@ def test_pythagoras_over_random_vectors():
     model = synthetic_model(6, 3)
     rng = np.random.default_rng(8)
     for _ in range(100):
-        state = StateVector(model.space, rng.standard_normal(model.space.total_dim))
+        state = rng.standard_normal(model.space.total_dim)
         total = sum(
-            float(np.sum(state.sector_component(sec) ** 2)) for sec in model.space.sectors
+            float(np.sum(state[model.space.sector_slice(sec)] ** 2))
+            for sec in model.space.sectors
         )
-        assert total == pytest.approx(state.norm() ** 2, abs=1e-9)
+        assert total == pytest.approx(np.linalg.norm(state) ** 2, abs=1e-9)
 
 
 def test_corrupted_projectors_fail_verification():
@@ -430,8 +483,8 @@ def test_lift_diffusion_is_orthogonal_and_fixes_uniform():
     diffusion = np.full((n, n), 2.0 / n) - np.eye(n)
     lifted = lift_unitary_conjugation(model, diffusion)
     assert orthogonality_defect(lifted) < 1e-12
-    moved = lifted @ model.uniform_state.coords
-    assert np.max(np.abs(moved - model.uniform_state.coords)) < 1e-12
+    moved = lifted @ model.uniform_state
+    assert np.max(np.abs(moved - model.uniform_state)) < 1e-12
 
 
 def test_lift_rejects_non_unitary():
@@ -452,8 +505,8 @@ def test_random_reversible_is_seeded_and_orthogonal():
     assert orthogonality_defect(a) < 1e-10
     rng = np.random.default_rng(0)
     for _ in range(10):
-        state = StateVector(model.space, rng.standard_normal(model.space.total_dim))
-        assert np.linalg.norm(a @ state.coords) == pytest.approx(state.norm(), abs=1e-10)
+        state = rng.standard_normal(model.space.total_dim)
+        assert np.linalg.norm(a @ state) == pytest.approx(np.linalg.norm(state), abs=1e-10)
 
 
 def test_haar_frame_is_the_leading_block_of_the_full_draw():

@@ -22,7 +22,6 @@ import hoisearch.search
 from hoisearch.models import (
     Model,
     NumericError,
-    StateVector,
     classical_model,
     coherence_projector,
     lift_unitary_conjugation,
@@ -48,9 +47,7 @@ from hoisearch.search import (
     run_experiment,
     run_search,
     scaling_sweep,
-    success_probability,
     sweep_to_json,
-    uniform_start,
     write_report_csv,
     write_sweep_csv,
     REPORT_CSV_COLUMNS,
@@ -81,7 +78,7 @@ def trajectory_history(model, schedule, k_max):
     """
     n, m_dim = model.n_slits, model.space.total_dim
     oracle_diags = np.vstack([sign_flip_oracle(model, x) for x in range(n)] + [np.ones(m_dim)])
-    batch = np.tile(model.uniform_state.coords, (n + 1, 1))
+    batch = np.tile(model.uniform_state, (n + 1, 1))
     history = [batch]
     for k in range(1, k_max + 1):
         batch = schedule.apply(k, batch * oracle_diags)
@@ -130,30 +127,36 @@ def amplitude_grover_reference(n, k_max):
 
 def test_uniform_start_success_is_one_over_n():
     for model in (classical_model(4), quantum_model(4), synthetic_model(4, 3)):
-        start = uniform_start(model)
-        for x in range(4):
-            assert success_probability(model, start, x) == pytest.approx(0.25)
+        assert model.uniform_state[model.basis_index] == pytest.approx(np.full(4, 0.25))
+        report = run_search(model, make_schedule(model, "reflect"), 0)
+        assert report.success[0] == pytest.approx(np.full(4, 0.25))
 
 
 def test_success_probability_on_target_state():
     model = quantum_model(3)
-    assert success_probability(model, model.basis_states[1], 1) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        success_probability(model, model.uniform_state, 3)
+    target = np.zeros(model.space.total_dim)
+    target[model.basis_index[1]] = 1.0
+    report = run_search(model, grover_schedule(model), 0, marked=(1,), start=target)
+    assert report.success[0, 0] == 1.0
+    assert report.gap_with_oracle[0] == 0.0
+    with pytest.raises(ValueError, match="out of range"):
+        run_search(model, grover_schedule(model), 0, marked=(3,))
+    with pytest.raises(ValueError, match="at least one marked item"):
+        run_search(model, grover_schedule(model), 0, marked=())
 
 
 def test_reflection_fixes_axis_and_is_an_orthogonal_involution():
     model = synthetic_model(4, 3)
     reflect = reflection_schedule(model)
     eye = np.eye(model.space.total_dim)
-    fixed = reflect.apply(1, model.uniform_state.coords[None, :])[0]
-    assert np.max(np.abs(fixed - model.uniform_state.coords)) < 1e-12
+    fixed = reflect.apply(1, model.uniform_state[None, :])[0]
+    assert np.max(np.abs(fixed - model.uniform_state)) < 1e-12
     step = reflect.apply(1, eye).T
     assert np.max(np.abs(step.T @ step - eye)) < 1e-12
     assert np.max(np.abs(reflect.apply(2, reflect.apply(1, eye)) - eye)) < 1e-12
-    zero = StateVector(model.space, np.zeros(model.space.total_dim))
+    zero = np.zeros(model.space.total_dim)
     with pytest.raises(ValueError):
-        reflection_schedule(Model(model.kind, model.space, model.basis_states, zero))
+        reflection_schedule(Model(model.kind, model.space, zero))
 
 
 def test_sector_reflection_differs_from_lifted_diffusion():
@@ -164,8 +167,8 @@ def test_sector_reflection_differs_from_lifted_diffusion():
     grover = grover_schedule(model)
     reflected = reflection_schedule(model).apply(1, eye)
     assert np.max(np.abs(grover.apply(1, eye) - reflected)) > 0.1
-    fixed = grover.apply(1, model.uniform_state.coords[None, :])[0]
-    assert np.max(np.abs(fixed - model.uniform_state.coords)) < 1e-12
+    fixed = grover.apply(1, model.uniform_state[None, :])[0]
+    assert np.max(np.abs(fixed - model.uniform_state)) < 1e-12
 
 
 def test_grover_step_matches_the_lifted_diffusion():
@@ -180,7 +183,7 @@ def test_grover_step_matches_the_lifted_diffusion():
 
 def test_reflect_step_matches_the_explicit_reflection():
     for model in (classical_model(5), quantum_model(4), synthetic_model(5, 3)):
-        s = model.uniform_state.coords
+        s = model.uniform_state
         explicit = 2.0 * np.outer(s, s) / np.dot(s, s) - np.eye(s.shape[0])
         step = reflection_schedule(model).apply(1, np.eye(s.shape[0])).T
         assert np.max(np.abs(step - explicit)) < 1e-12, model.kind
@@ -214,7 +217,7 @@ def test_random_step_has_the_haar_law():
     # of R^M, whose squared first coordinate has mean 1/M
     model = synthetic_model(4, 2)
     m = model.space.total_dim
-    unit = model.uniform_state.coords[None, :] / model.uniform_state.norm()
+    unit = model.uniform_state[None, :] / np.linalg.norm(model.uniform_state)
     samples = np.array(
         [random_schedule(model, seed).apply(1, unit)[0, 0] ** 2 for seed in range(4000)]
     )
@@ -233,7 +236,7 @@ def test_trajectories_start_at_the_start_state():
     assert report.divergence[0] == 0.0
     assert report.gap_with_oracle[0] == report.gap_without_oracle[0]
     assert np.array_equal(
-        report.success[0], [success_probability(model, model.uniform_state, x) for x in range(4)]
+        report.success[0], model.uniform_state[model.basis_index]
     )
 
 
@@ -313,7 +316,7 @@ def test_run_search_marked_subset_and_accessors():
 def test_run_search_rejects_foreign_start_state():
     model = quantum_model(3)
     other = quantum_model(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"state has shape \(16,\), expected \(9,\)"):
         run_search(model, grover_schedule(model), 1, start=other.uniform_state)
 
 
@@ -429,7 +432,7 @@ def test_pure_state_distance_identity():
 def three_buffer_measures(model, with_states, free_states):
     """Reference measures on a stored history, with one (k+1, X, M)
     difference array per measure: (D_k, E_k, F_k, success)."""
-    basis = np.stack([model.basis_states[x].coords for x in range(model.n_slits)])
+    basis = np.eye(model.space.total_dim)[model.basis_index]
     diff_pair = with_states - free_states[:, None, :]
     divergence = np.einsum("kxm,kxm->k", diff_pair, diff_pair)
     diff_target = with_states - basis[None, :, :]
@@ -485,7 +488,7 @@ def test_one_step_recursion_inequality():
         report = run_search(model, schedule, 7)
         _, free_states = trajectory_history(model, schedule, 7)
         for k in range(7):
-            moved = oracle_displacement(model, StateVector(model.space, free_states[k]))
+            moved = oracle_displacement(model, free_states[k])
             ceiling = (math.sqrt(report.divergence[k]) + math.sqrt(moved)) ** 2
             assert report.divergence[k + 1] <= ceiling + 1e-9
 
