@@ -66,6 +66,7 @@ from .search import (
     oracle_displacement,
     quantum_grover_report,
     random_schedule,
+    reflection_report,
     reflection_schedule,
     run_experiment,
     run_search,

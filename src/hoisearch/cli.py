@@ -6,7 +6,8 @@ output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
 1 a checked bound or identity failed, or a numeric check failed during a run
 (a schedule step that does not preserve the trajectories' inner products),
-2 usage error, including a size past the exact-enumeration guards.
+2 usage error, including a size past the exact-enumeration guards or the
+dense-run size guard (`search.MAX_DENSE_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -420,8 +421,8 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
         "--tol",
         type=tolerance,
         default=1e-9,
-        help="bound on the per-step reversibility check of simulated runs "
-        "(the closed-form quantum grover route has no step to check)",
+        help="bound on the per-step reversibility check of simulated (random) runs "
+        "(the closed-form reflect and quantum grover routes have no step to check)",
     )
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument(

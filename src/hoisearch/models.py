@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .subsets import (
+    EnumerationLimitError,
     SlitSet,
     coherence_expansion,
     decomposition_coefficient,
@@ -46,8 +49,11 @@ __all__ = [
     "quantum_model",
     "synthetic_model",
     "build_model",
+    "model_order",
+    "default_dims_per_size",
+    "descriptor_from_spec",
+    "uniform_block_weights",
     "model_from_descriptor",
-    "quantum_descriptor",
     "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
@@ -69,10 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-# quantum block dimensions: a diagonal entry per singleton, (Re, Im) of the
-# off-diagonal entry per pair
-QUANTUM_DIMS_PER_SIZE = {1: 1, 2: 2}
 
 
 class NumericError(ValueError):
@@ -141,7 +143,7 @@ class Model:
 
     def descriptor(self) -> dict:
         """JSON-serialisable description sufficient to rebuild the model."""
-        return _descriptor(self.kind, self.n_slits, self.order, self.space.dims_per_size)
+        return descriptor_from_spec(self.kind, self.n_slits, self.order, self.space.dims_per_size)
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def classical_model(n_slits: int) -> Model:
     ``1/sqrt(N)``; search experiments on this model therefore start from a
     mixed state.
     """
-    space = build_sector_space(n_slits, 1, {1: 1})
+    space = build_sector_space(n_slits, 1, default_dims_per_size("classical", 1))
     return Model("classical", space, np.full(space.total_dim, 1.0 / n_slits))
 
 
@@ -225,9 +227,8 @@ def quantum_model(n_slits: int) -> Model:
     computational basis; the uniform state embeds the maximal-superposition
     pure state (all matrix entries 1/N).
     """
-    if n_slits < 2:
-        raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
-    space = build_sector_space(n_slits, 2, QUANTUM_DIMS_PER_SIZE)
+    model_order("quantum", n_slits)
+    space = build_sector_space(n_slits, 2, default_dims_per_size("quantum", 2))
     uniform = _embed(space, np.full((n_slits, n_slits), 1.0 / n_slits))
     return Model("quantum", space, uniform)
 
@@ -241,23 +242,59 @@ def synthetic_model(
     block i. The uniform state puts 1/N on each of those coordinates and
     spreads the remaining weight evenly over all higher-sector coordinates so
     that its norm is exactly 1 and its overlap with every basis state is 1/N,
-    mimicking the quantum uniform state. With no higher sectors (order 1) the
-    leftover weight has nowhere to go and the uniform state is the classical
-    mixed one of norm ``1/sqrt(N)``.
+    mimicking the quantum uniform state (`uniform_block_weights`). With no
+    higher sectors (order 1) the leftover weight has nowhere to go and the
+    uniform state is the classical mixed one of norm ``1/sqrt(N)``.
     """
     if dims_per_size is None:
-        dims_per_size = {size: 1 for size in range(1, order + 1)}
+        dims_per_size = default_dims_per_size("synthetic", order)
     space = build_sector_space(n_slits, order, dims_per_size)
     # the singleton blocks lead the layout (see `Model.basis_index`), so every
-    # coordinate past them belongs to a higher sector
+    # coordinate past them belongs to a higher sector, and all of them carry
+    # the same weight
     width = space.dims_per_size[1]
     coords = np.zeros(space.total_dim)
     coords[: n_slits * width : width] = 1.0 / n_slits
     n_higher = space.total_dim - n_slits * width
     if n_higher > 0:
-        residual = 1.0 - n_slits * (1.0 / n_slits) ** 2
-        coords[-n_higher:] = np.sqrt(residual / n_higher)
+        weights = uniform_block_weights("synthetic", n_slits, order, space.dims_per_size)
+        coords[-n_higher:] = np.sqrt(weights[2] / space.dims_per_size[2])
     return Model("synthetic", space, coords)
+
+
+def model_order(kind: str, n_slits: int, order: int | None = None) -> int:
+    """The order of a model spec, after checking the family, order and N.
+
+    Classical and quantum models have a fixed order (1 and 2), so ``order``
+    may be omitted or must equal it; synthetic models need an explicit
+    ``order`` of at most ``n_slits``. Nothing is built, so this is also the
+    check of the closed-form routes that never build a model. N is capped
+    at the largest array index, the length of a report's success rows.
+    """
+    if n_slits > np.iinfo(np.intp).max:
+        raise ValueError(f"N={n_slits} is past the largest array index {np.iinfo(np.intp).max}")
+    if kind == "classical":
+        if order not in (None, 1):
+            raise ValueError("the classical model has order 1; omit --h")
+        order = 1
+    elif kind == "quantum":
+        if order not in (None, 2):
+            raise ValueError("the quantum model has order 2; omit --h")
+        if n_slits < 2:
+            raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
+        return 2
+    elif kind == "synthetic":
+        if order is None:
+            raise ValueError("synthetic models need an explicit order")
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if n_slits < 1:
+        raise ValueError(f"need at least one slit, got {n_slits}")
+    if order > n_slits:
+        raise ValueError(f"h exceeds N: h={order}, N={n_slits}")
+    if order < 1:
+        raise ValueError(f"order must satisfy 1 <= order <= {n_slits}, got {order}")
+    return order
 
 
 def build_model(
@@ -266,30 +303,61 @@ def build_model(
     order: int | None = None,
     dims_per_size: Mapping[int, int] | None = None,
 ) -> Model:
-    """Build a model of one family, checking the family/order pair.
+    """Build a model of one family, checking the spec with `model_order`.
 
-    Classical and quantum models have a fixed order (1 and 2), so ``order``
-    may be omitted or must equal it; synthetic models need an explicit
-    ``order`` of at most ``n_slits``. ``dims_per_size`` sets the synthetic
-    block dimensions; the classical and quantum layouts are fixed.
+    ``dims_per_size`` sets the synthetic block dimensions; the classical and
+    quantum layouts are fixed.
     """
+    order = model_order(kind, n_slits, order)
     if kind == "classical":
-        if order not in (None, 1):
-            raise ValueError("the classical model has order 1; omit --h")
         return classical_model(n_slits)
     if kind == "quantum":
-        if order not in (None, 2):
-            raise ValueError("the quantum model has order 2; omit --h")
         return quantum_model(n_slits)
-    if kind == "synthetic":
-        if order is None:
-            raise ValueError("synthetic models need an explicit order")
-        if n_slits < 1:
-            raise ValueError(f"need at least one slit, got {n_slits}")
-        if order > n_slits:
-            raise ValueError(f"h exceeds N: h={order}, N={n_slits}")
-        return synthetic_model(n_slits, order, dims_per_size)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return synthetic_model(n_slits, order, dims_per_size)
+
+
+def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
+    """Block dimension per sector size of a family's standard layout.
+
+    One coordinate per sector, except the quantum pairs, which hold the Re
+    and Im parts of an off-diagonal entry.
+    """
+    if kind == "quantum":
+        return {1: 1, 2: 2}
+    return {size: 1 for size in range(1, order + 1)}
+
+
+def uniform_block_weights(
+    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
+) -> dict[int, float]:
+    """Squared norm ``w_t`` of the uniform state on one sector of each size t.
+
+    The uniform state weighs every sector of one size alike, so these
+    numbers and the counts ``C(N, t)`` give its norm and its weight on any
+    union of sectors:
+
+    * classical: ``w_1 = 1/N^2``, the uniform distribution;
+    * quantum: ``w_1 = 1/N^2`` and ``w_2 = 2/N^2``, an off-diagonal entry
+      1/N scaled by sqrt(2);
+    * synthetic: ``w_1 = 1/N^2``, and the leftover ``1 - 1/N`` spread evenly
+      over the higher-sector coordinates, ``dims_per_size`` (one per sector
+      by default) of them per sector.
+    """
+    start = 1.0 / n_slits
+    weights = {1: start**2}
+    if kind == "quantum":
+        weights[2] = 2.0 * start**2
+    elif kind == "synthetic" and order > 1:
+        dims = default_dims_per_size(kind, order) if dims_per_size is None else dims_per_size
+        n_higher = sum(dims[size] * comb(n_slits, size) for size in range(2, order + 1))
+        if n_higher > sys.float_info.max:
+            raise EnumerationLimitError(
+                f"synthetic N={n_slits} h={order} has more higher-sector coordinates "
+                "than a float can count"
+            )
+        per_coordinate = (1.0 - n_slits * weights[1]) / n_higher
+        weights.update({size: dims[size] * per_coordinate for size in range(2, order + 1)})
+    return weights
 
 
 def model_from_descriptor(descriptor: Mapping | str) -> Model:
@@ -302,12 +370,15 @@ def model_from_descriptor(descriptor: Mapping | str) -> Model:
     )
 
 
-def quantum_descriptor(n_slits: int) -> dict:
-    """``quantum_model(n_slits).descriptor()``, without building the model."""
-    return _descriptor("quantum", n_slits, 2, QUANTUM_DIMS_PER_SIZE)
+def descriptor_from_spec(
+    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
+) -> dict:
+    """``Model.descriptor()`` of a spec, without building the model.
 
-
-def _descriptor(kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int]) -> dict:
+    ``dims_per_size`` defaults to the family's standard layout.
+    """
+    if dims_per_size is None:
+        dims_per_size = default_dims_per_size(kind, order)
     return {
         "kind": kind,
         "n_slits": n_slits,

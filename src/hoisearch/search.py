@@ -12,15 +12,16 @@ coordinates and a batch of trajectories is an ``(r, M)`` array; the target
 of marked item x is the unit vector at ``model.basis_index[x]``.
 
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
-strategy, seed, k_max) to a report; sweeps and the CLI go through it. Every
-quantum run with the standard amplitude-amplification schedule takes the
-exact closed-form report, ``quantum_grover_report``, at every N: from the
-uniform start every marked trajectory is a rotation in a two-dimensional
-plane and the oracle-free control never moves, so each measure is a
-trigonometric function of k, computed in O(k) time and memory. Every other
-run simulates the dense sector coordinates with `run_search`, which, with
-`grover_schedule`, is also the test suite's reference for the closed form
-(besides a direct amplitude simulation).
+strategy, seed, k_max) to a report; sweeps and the CLI go through it. Both
+symmetric schedules take an exact closed-form report at every N, in O(k)
+time and memory and without building a model: from the uniform start every
+marked trajectory is a rotation in a two-dimensional plane and the
+oracle-free control never moves, so each measure is a trigonometric function
+of k. ``quantum_grover_report`` covers quantum ``grover`` and
+``reflection_report`` every ``reflect`` run. Only ``random`` runs simulate
+the dense sector coordinates with `run_search`, which, with
+`grover_schedule` and `reflection_schedule`, is also the test suite's
+reference for both closed forms.
 """
 
 from __future__ import annotations
@@ -40,10 +41,14 @@ from .models import (
     _check_state,
     build_model,
     conjugate_rows,
+    default_dims_per_size,
+    descriptor_from_spec,
     haar_orthogonal,
-    quantum_descriptor,
+    model_order,
     sign_flip_oracle,
+    uniform_block_weights,
 )
+from .subsets import EnumerationLimitError
 
 __all__ = [
     "Schedule",
@@ -60,6 +65,7 @@ __all__ = [
     "make_schedule",
     "run_search",
     "quantum_grover_report",
+    "reflection_report",
     "run_experiment",
     "check_upper_bound",
     "analytic_crossing_floor",
@@ -71,6 +77,7 @@ __all__ = [
     "reports_to_json",
     "sweep_to_json",
     "LOWER_BOUND_CONSTANT",
+    "MAX_DENSE_ENTRIES",
     "REPORT_CSV_COLUMNS",
     "SWEEP_CSV_COLUMNS",
 ]
@@ -240,9 +247,11 @@ class ProgressReport:
     ceiling ``4 h k^2``, and ``pair_lower_bound``, the reverse-triangle floor
     ``max(0, sqrt F_k - sqrt E_k)^2`` the divergence can never undercut, are
     derived from those fields. ``success`` is each trajectory's overlap with
-    its target: the probability of finding the marked item on classical and
-    quantum models, and on synthetic ones the raw overlap, which exploratory
-    dynamics can take outside [0, 1].
+    its target. It is the probability of finding the marked item only while
+    the trajectory stays a state of the theory, as under quantum ``grover``;
+    Haar steps and the sector-coordinate reflection can leave the state
+    space, and then it is a raw overlap that can fall outside [0, 1]
+    (quantum ``reflect`` at N = 2 reads -0.5 at k = 1).
 
     A run succeeds at k when its worst marked item is found with probability
     at least 1/2 (``success_min >= 1/2``), the criterion
@@ -391,8 +400,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     ``success`` is a read-only broadcast view of shape ``(k_max + 1, N)``, so
     time and memory are O(k) whatever N is.
     """
-    if n_items < 2:
-        raise ValueError(f"the quantum model needs at least 2 slits, got {n_items}")
+    model_order("quantum", n_items)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
@@ -411,23 +419,90 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     )
     divergence = 2.0 * n * turn_sq
     gap_with = 2.0 * n * np.cos(theta + turn) ** 2
-    gap_without = np.full(k_max + 1, 2.0 * (n - 1))
+    return _symmetric_report(
+        "quantum", n, 2, "grover", per_item, divergence, gap_with, 2.0 * (n - 1)
+    )
 
+
+def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> ProgressReport:
+    """Exact report of a ``reflect`` run on a family's model, in O(k).
+
+    With item x marked the oracle is ``1 - 2 P_x``, P_x the projector onto
+    the blocks it flips, and the step reflects about the uniform start s, so
+    the trajectory stays in the plane spanned by ``s - P_x s`` and ``P_x s``
+    and turns by ``2 phi`` per query, ``sin^2 phi = beta / sigma`` (Boyer,
+    Brassard, Hoyer, Tapp, arXiv quant-ph/9605034). Here ``sigma = <s, s>``
+    and ``beta = |P_x s|^2`` are binomial counts of the uniform state's block
+    weights (`uniform_block_weights`); the oracle-free control stays at s,
+    which the step fixes. The target lies in x's singleton block, which no
+    oracle flips, and overlaps s by ``s_x = 1/N``:
+
+    * per-item success ``s_x cos((2k+1) phi) / cos phi``,
+    * ``D_k = 4 N sigma sin^2(k phi)``,
+    * ``E_k = N (sigma + 1 - 2 success_k)``,
+    * ``F_k = N (sigma + 1 - 2 s_x)``.
+
+    The block weights depend on the sector size alone, so every marked item
+    gives a relabelled copy of one trajectory and each sum over the N items
+    is N times one term. Time and memory are O(k) whatever N is.
+    """
+    order = model_order(kind, n_items, order)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    n = n_items
+    weights = uniform_block_weights(kind, n, order)
+    sigma = sum(math.comb(n, size) * w for size, w in weights.items())
+    # the oracle for x flips the sectors of size >= 2 that contain x
+    beta = sum(math.comb(n - 1, size - 1) * w for size, w in weights.items() if size > 1)
+    start = 1.0 / n
+    phi = math.asin(math.sqrt(beta / sigma))
+    ks = np.arange(k_max + 1)
+    turned = np.cos((2 * ks + 1) * phi)
+    # scaled by its own k = 0 entry rather than a separately rounded cos(phi),
+    # so that k = 0 gives the start's success 1/N exactly: at N = 2 that is
+    # exactly 1/2, the crossing k* = 0
+    per_item = start * (turned / turned[0])
+    divergence = 4.0 * n * sigma * np.sin(ks * phi) ** 2
+    gap_with = n * (sigma + 1.0 - 2.0 * per_item)
+    gap_without = n * (sigma + 1.0 - 2.0 * start)
+    return _symmetric_report(
+        kind, n, order, "reflect", per_item, divergence, gap_with, gap_without
+    )
+
+
+def _symmetric_report(
+    kind: str, n_items: int, order: int, strategy: str, per_item: np.ndarray,
+    divergence: np.ndarray, gap_with: np.ndarray, gap_without: float,
+) -> ProgressReport:
+    """A closed-form report: the N marked trajectories are relabelled copies
+    of one and the control's gap never changes. ``success`` is a read-only
+    broadcast view of ``per_item``, so memory is O(k) at any N."""
+    steps = per_item.shape[0]
     return ProgressReport(
-        descriptor=quantum_descriptor(n),
-        strategy="grover",
+        descriptor=descriptor_from_spec(kind, n_items, order),
+        strategy=strategy,
         seed=None,
-        n_slits=n,
-        order=2,
-        marked=range(n),
-        k=ks,
+        n_slits=n_items,
+        order=order,
+        marked=range(n_items),
+        k=np.arange(steps),
         divergence=divergence,
         gap_with_oracle=gap_with,
-        gap_without_oracle=gap_without,
-        success=np.broadcast_to(per_item[:, None], (k_max + 1, n)),
+        gap_without_oracle=np.full(steps, gap_without),
+        success=np.broadcast_to(per_item[:, None], (steps, n_items)),
         success_mean=per_item,
         success_min=per_item,
     )
+
+
+# A dense run holds its batch of N + 1 trajectories, the queried batch, the
+# step's output and its temporaries, the oracle diagonals and the measures'
+# difference arrays: about a dozen (N + 1) x M float arrays at once (traced
+# peaks of random runs: 11 at quantum(127), 12 at classical(1024)). Capping
+# one at 2^21 entries (16 MiB) keeps a run under 200 MB and still admits the
+# largest dense runs in use, classical(1024) at 1.05e6 entries and quantum
+# up to N = 127.
+MAX_DENSE_ENTRIES = 2**21
 
 
 def run_experiment(
@@ -442,26 +517,35 @@ def run_experiment(
 ) -> ProgressReport:
     """The report of one search experiment, from its spec alone.
 
-    ``kind`` and ``order`` pick the model (see `build_model`); ``strategy``
+    ``kind`` and ``order`` pick the model (see `model_order`); ``strategy``
     defaults to the family's standard schedule, ``seed`` seeds a random one
     and ``k_max`` defaults to `default_k_max`, resolved once N is known to be
-    valid. Quantum ``grover`` runs take the exact closed form at every N and
-    build no model, so they have no step for ``tol`` to check; every other run
-    simulates the dense sector coordinates.
+    valid. Every ``reflect`` run and every quantum ``grover`` run takes its
+    exact closed form at every N and builds no model, so it has no step for
+    ``tol`` to check; only ``random`` runs simulate the dense sector
+    coordinates, and one past `MAX_DENSE_ENTRIES` is refused with
+    `EnumerationLimitError` before any sector is enumerated.
     """
     if strategy is None:
         strategy = default_strategy(kind)
-    # an order other than the quantum one falls through to build_model,
-    # which rejects it
-    if kind == "quantum" and strategy == "grover" and order in (None, 2):
-        if n_items < 2:  # the model's own check, made before default_k_max
-            raise ValueError(f"the quantum model needs at least 2 slits, got {n_items}")
-        return quantum_grover_report(n_items, default_k_max(n_items) if k_max is None else k_max)
-    model = build_model(kind, n_items, order)
+    order = model_order(kind, n_items, order)
     if k_max is None:
         k_max = default_k_max(n_items)
-    schedule = make_schedule(model, strategy, seed)
-    return run_search(model, schedule, k_max, tol=tol)
+    if strategy == "reflect":
+        return reflection_report(kind, n_items, order, k_max)
+    if strategy == "grover" and kind == "quantum":
+        return quantum_grover_report(n_items, k_max)
+    if strategy == "random":  # the one dense route; other strategies fail in make_schedule
+        dims = default_dims_per_size(kind, order)
+        m_dim = sum(dim * math.comb(n_items, size) for size, dim in dims.items())
+        if (n_items + 1) * m_dim > MAX_DENSE_ENTRIES:
+            raise EnumerationLimitError(
+                f"a dense random run on {kind} N={n_items} h={order} needs "
+                f"{n_items + 1} x {m_dim} state arrays, past the guard of "
+                f"{MAX_DENSE_ENTRIES} entries"
+            )
+    model = build_model(kind, n_items, order)
+    return run_search(model, make_schedule(model, strategy, seed), k_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------

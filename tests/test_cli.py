@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, table output, file reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,20 @@ def test_too_few_items_is_the_models_usage_error(capsys, command, model, n, mess
     code, out, err = run_cli(capsys, command, "--model", model, "--n", n)
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+def test_dense_run_past_the_size_guard_is_refused_at_once(capsys):
+    # synthetic(100000, 3) has 1.7e14 sectors: the guard counts them with
+    # math.comb instead of enumerating them
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "search", "--model", "synthetic", "--h", "3", "--n", "100000",
+        "--strategy", "random",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "past the guard" in err
     assert out == ""
 
 

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from hoisearch.models import (
+    build_model,
     build_sector_space,
     classical_model,
+    descriptor_from_spec,
     coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
@@ -27,6 +29,7 @@ from hoisearch.models import (
     slit_projector,
     synthetic_model,
     unembed_density,
+    uniform_block_weights,
     verify_coherence_completeness,
     verify_coherence_orthogonality,
     coherence_completeness_defect,
@@ -260,6 +263,23 @@ def test_model_descriptor_round_trip():
         assert np.array_equal(clone.uniform_state, model.uniform_state)
         assert np.array_equal(clone.basis_index, model.basis_index)
         assert model_from_descriptor(text).descriptor() == model.descriptor()
+
+
+def test_spec_descriptors_and_block_weights_match_the_built_models():
+    # the closed-form reports describe and weigh the uniform state from the
+    # spec alone; both must agree with the model they never build
+    specs = [("classical", n, 1, None) for n in (1, 2, 5)]
+    specs += [("quantum", n, 2, None) for n in (2, 3, 6)]
+    specs += [("synthetic", n, h, None) for n in (1, 2, 5, 6) for h in range(1, min(n, 4) + 1)]
+    specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})]
+    for kind, n, h, dims in specs:
+        model = build_model(kind, n, h, dims)
+        assert descriptor_from_spec(kind, n, h, dims) == model.descriptor(), (kind, n, h)
+        weights = uniform_block_weights(kind, n, h, dims)
+        assert sorted(weights) == list(range(1, h + 1)), (kind, n, h)
+        for sector in model.space.sectors:
+            block = model.uniform_state[model.space.sector_slice(sector)]
+            assert float(block @ block) == pytest.approx(weights[len(sector)], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ and the divergence is 2 N sin(2 k t)^2. The dense simulation never sees
 these formulas; they gate its output here. The closed-form report
 ``quantum_grover_report`` is built from them, so it is cross-checked against
 the dense route and against a direct amplitude simulation kept below as the
-reference.
+reference. The closed-form ``reflection_report`` is cross-checked against the
+dense ``reflection_schedule`` run in every family.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import hoisearch.search
 from hoisearch.models import (
     Model,
     NumericError,
+    build_model,
     classical_model,
     coherence_projector,
     lift_unitary_conjugation,
@@ -29,6 +31,7 @@ from hoisearch.models import (
     sign_flip_oracle,
     synthetic_model,
 )
+from hoisearch.subsets import EnumerationLimitError
 from hoisearch.search import (
     analytic_crossing_floor,
     check_lower_bound,
@@ -42,6 +45,7 @@ from hoisearch.search import (
     oracle_displacement,
     quantum_grover_report,
     random_schedule,
+    reflection_report,
     reflection_schedule,
     reports_to_json,
     run_experiment,
@@ -50,16 +54,22 @@ from hoisearch.search import (
     sweep_to_json,
     write_report_csv,
     write_sweep_csv,
+    MAX_DENSE_ENTRIES,
     REPORT_CSV_COLUMNS,
 )
 
 
-def assert_reports_equal(got, want, label=None):
-    """Every `ProgressReport` field equal: arrays element for element."""
+def assert_reports_equal(got, want, label=None, rel=0.0):
+    """Every `ProgressReport` field equal: the marked items one by one, other
+    scalars exactly, and arrays element for element, or, with ``rel`` > 0,
+    to within ``rel * max(1, |want|)`` each."""
     for field in dataclasses.fields(ProgressReport):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b), (label, field.name)
+            assert a.shape == b.shape, (label, field.name)
+            assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b))), (label, field.name)
+        elif field.name == "marked":
+            assert tuple(a) == tuple(b), (label, field.name)
         else:
             assert a == b, (label, field.name)
 
@@ -291,10 +301,12 @@ def test_random_run_builds_no_m_by_m_matrix():
 
 def test_run_memory_does_not_grow_with_k():
     # classical(256) has M = 256: a (k_max + 1, N, M) history of the run
-    # would alone be 65 * 256 * 256 * 8 B = 34 MB
+    # would alone be 65 * 256 * 256 * 8 B = 34 MB. The dense route, not the
+    # closed form that run_experiment takes for reflect runs
     tracemalloc.start()
     try:
-        run_experiment("classical", 256, k_max=64)
+        model = classical_model(256)
+        run_search(model, reflection_schedule(model), 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,6 +432,89 @@ def test_fast_path_is_o_k_at_a_million_items():
     started = time.perf_counter()
     assert report.first_crossing() == int(np.argmax(per_item >= 0.5))
     assert time.perf_counter() - started < 1.0
+
+
+REFLECT_SPECS = (
+    [("classical", n, 1) for n in range(1, 17)]
+    + [("quantum", n, 2) for n in range(2, 17)]
+    + [("synthetic", n, h) for n in range(1, 17) for h in range(1, min(n, 4) + 1)]
+)
+
+
+def test_reflection_report_matches_dense_simulation():
+    # N <= 16 and h <= 4 in every family, with N = 1, h = N and N = 2
+    eps = np.finfo(float).eps
+    for kind, n, h in REFLECT_SPECS:
+        model = build_model(kind, n, h)
+        k_max = default_k_max(n)
+        dense = run_search(model, reflection_schedule(model), k_max)
+        fast = reflection_report(kind, n, h, k_max)
+        # each dense step is a rank-1 reflection whose length-M dot product
+        # rounds with relative error up to M eps, accumulated over the k_max
+        # steps; D_k, E_k and F_k are sums of nonnegative terms, so the same
+        # relative bound holds for them (measured: at most 0.41 of it)
+        rel = (k_max + 1) * model.space.total_dim * eps
+        assert_reports_equal(fast, dense, (kind, n, h), rel=rel)
+        assert fast.first_crossing() == dense.first_crossing(), (kind, n, h)
+        assert fast.first_peak() == dense.first_peak(), (kind, n, h)
+    # at N = 2 success starts exactly on 1/2: the crossing is at k = 0
+    for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 1), ("synthetic", 2)):
+        report = reflection_report(kind, 2, h, 4)
+        assert report.success_min[0] == 0.5 and report.first_crossing() == 0, kind
+
+
+def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
+    def no_model(*_args):
+        raise AssertionError("a reflect run built a model")
+
+    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    for kind, n, h in REFLECT_SPECS + [("synthetic", 1000, 3), ("quantum", 1000, 2)]:
+        got = run_experiment(kind, n, "reflect", order=h)
+        assert_reports_equal(got, reflection_report(kind, n, h, default_k_max(n)), (kind, n, h))
+    # reflect is the default strategy of the classical and synthetic families
+    assert_reports_equal(
+        run_experiment("synthetic", 9, order=3), reflection_report("synthetic", 9, 3, 12)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, n, order",
+    [("quantum", 1, None), ("classical", 0, None), ("classical", 4, 2), ("synthetic", 4, None),
+     ("synthetic", 0, 1), ("synthetic", 3, 4), ("synthetic", 3, 0), ("thermal", 4, 1)],
+)
+def test_reflect_spec_errors_are_the_models(kind, n, order):
+    with pytest.raises(ValueError) as from_model:
+        build_model(kind, n, order)
+    with pytest.raises(ValueError) as from_run:
+        run_experiment(kind, n, "reflect", order=order)
+    assert str(from_run.value) == str(from_model.value)
+
+
+def test_reflect_at_a_million_items_saturates_below_the_ceiling():
+    n = 10**6
+    started = time.perf_counter()
+    for kind, h in [("classical", 1), ("quantum", 2)] + [("synthetic", h) for h in range(2, 7)]:
+        report = run_experiment(kind, n, "reflect", order=h)
+        assert check_upper_bound(report).holds, (kind, h)
+        assert report.success_min[0] == 1.0 / n, (kind, h)
+        # success_k <= 1 / (N cos phi) < 1/2 at every N >= 3
+        assert report.first_crossing() is None, (kind, h)
+        assert report.success.strides[1] == 0, (kind, h)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use():
+    for model in (classical_model(1024), synthetic_model(16, 4)):
+        assert (model.n_slits + 1) * model.space.total_dim <= MAX_DENSE_ENTRIES
+    with pytest.raises(EnumerationLimitError, match="past the guard"):
+        run_experiment("quantum", 128, "random")
+    # a report's success rows are N long, so N stops at the largest index
+    for kind in ("classical", "quantum", "synthetic"):
+        with pytest.raises(ValueError, match="past the largest array index"):
+            run_experiment(kind, 10**170, order=2 if kind == "synthetic" else None, k_max=1)
+    # the closed form counts sectors in floats: C(10^9, 40) is past their range
+    with pytest.raises(EnumerationLimitError, match="than a float can count"):
+        run_experiment("synthetic", 10**9, order=40, k_max=1)
 
 
 def test_pure_state_distance_identity():
