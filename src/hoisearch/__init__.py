@@ -22,7 +22,6 @@ from .subsets import (
     decomposition_coefficient,
     enumerate_sectors,
     identity_decomposition,
-    signed_pairing_count,
     signed_pairing_counts,
     signed_pairing_count_closed,
 )
@@ -35,20 +34,14 @@ from .models import (
     build_model,
     build_sector_space,
     classical_model,
-    coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
     interference_order,
-    lift_superoperator,
-    lift_unitary_conjugation,
-    model_from_descriptor,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
     unembed_density,
-    verify_coherence_completeness,
-    verify_coherence_orthogonality,
     verify_oracle,
 )
 from .search import (
@@ -61,13 +54,10 @@ from .search import (
     check_lower_bound,
     check_upper_bound,
     default_k_max,
-    grover_schedule,
-    make_schedule,
     oracle_displacement,
     quantum_grover_report,
     random_schedule,
     reflection_report,
-    reflection_schedule,
     run_experiment,
     run_search,
     scaling_sweep,

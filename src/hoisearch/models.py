@@ -9,8 +9,8 @@ block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
 N distinguished basis states are unit vectors given by their coordinate
 index (`Model.basis_index`), not stored. Projectors and sign-flip oracles
 are diagonal in these coordinates and are returned as their diagonals, also
-``(M,)`` arrays; only `verify_oracle` and the quantum lifts take or return
-an ``(M, M)`` matrix. Three families are provided:
+``(M,)`` arrays; only `verify_oracle` takes an ``(M, M)`` matrix. Three
+families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
 * quantum (h = 2): N x N density matrices embedded as real vectors, with the
@@ -24,18 +24,16 @@ an ``(M, M)`` matrix. Three families are provided:
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .subsets import (
     EnumerationLimitError,
     SlitSet,
-    coherence_expansion,
     decomposition_coefficient,
     enumerate_sectors,
 )
@@ -53,22 +51,15 @@ __all__ = [
     "default_dims_per_size",
     "descriptor_from_spec",
     "uniform_block_weights",
-    "model_from_descriptor",
     "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
     "verify_oracle",
     "embed_density",
     "unembed_density",
-    "lift_superoperator",
-    "lift_unitary_conjugation",
-    "conjugate_rows",
     "haar_orthogonal",
     "coherence_completeness_defect",
-    "verify_coherence_completeness",
     "coherence_orthogonality_defects",
-    "verify_coherence_orthogonality",
-    "coherence_from_slit_projectors",
     "interference_order",
     "DEFAULT_TOL",
     "NumericError",
@@ -360,16 +351,6 @@ def uniform_block_weights(
     return weights
 
 
-def model_from_descriptor(descriptor: Mapping | str) -> Model:
-    """Rebuild a model from `Model.descriptor` output (dict or JSON text)."""
-    if isinstance(descriptor, str):
-        descriptor = json.loads(descriptor)
-    dims = {int(k): int(v) for k, v in descriptor["dims_per_size"].items()}
-    return build_model(
-        descriptor["kind"], int(descriptor["n_slits"]), int(descriptor["order"]), dims
-    )
-
-
 def descriptor_from_spec(
     kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
 ) -> dict:
@@ -528,45 +509,6 @@ def unembed_density(model: Model, state: np.ndarray) -> np.ndarray:
     return _unembed(model.space, _check_state(model, state))
 
 
-def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Lift a Hermitian-matrix map to the quantum model's real coordinates.
-
-    ``fn`` must send Hermitian matrices to Hermitian matrices (projection
-    sandwiches and unitary conjugations both qualify); the lift is assembled
-    from the images of the coordinate basis, one ``fn`` call per coordinate,
-    and returned as its (M, M) matrix.
-    """
-    _require_quantum(model)
-    space = model.space
-    images = np.stack([fn(rho) for rho in _unembed(space, np.eye(space.total_dim))])
-    return _embed(space, images).T
-
-
-def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> np.ndarray:
-    """The real sector-coordinate form of ``rho -> U rho U^dagger``."""
-    _require_quantum(model)
-    u = np.asarray(unitary, dtype=complex)
-    n = model.space.n_slits
-    if u.shape != (n, n):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({n}, {n})")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > 1e-9:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    u_dag = u.conj().T
-    return lift_superoperator(model, lambda rho: u @ rho @ u_dag)
-
-
-def conjugate_rows(model: Model, unitary: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rho -> U rho U^dagger`` on quantum states stored as rows of shape (r, M).
-
-    The batch form of `lift_unitary_conjugation`, with no M x M matrix. The
-    unitary is not checked; `run_search` checks every step for reversibility.
-    """
-    _require_quantum(model)
-    u = np.asarray(unitary)
-    return _embed(model.space, u @ _unembed(model.space, rows) @ u.conj().T)
-
-
 def _require_quantum(model: Model) -> None:
     if model.kind != "quantum":
         raise ValueError(f"operation requires the quantum model, got {model.kind!r}")
@@ -624,15 +566,6 @@ def coherence_completeness_defect(
     return float(np.max(np.abs(family.sum(axis=0) - 1.0)))
 
 
-def verify_coherence_completeness(
-    model: Model,
-    *,
-    tol: float = DEFAULT_TOL,
-    projectors: np.ndarray | None = None,
-) -> bool:
-    return coherence_completeness_defect(model, projectors) < tol
-
-
 def coherence_orthogonality_defects(
     model: Model, projectors: np.ndarray | None = None
 ) -> tuple[float, float]:
@@ -658,16 +591,6 @@ def coherence_orthogonality_defects(
     return float(pair_defect), pyth_defect
 
 
-def verify_coherence_orthogonality(
-    model: Model,
-    *,
-    tol: float = DEFAULT_TOL,
-    projectors: np.ndarray | None = None,
-) -> bool:
-    pair, pyth = coherence_orthogonality_defects(model, projectors)
-    return pair < tol and pyth < tol
-
-
 def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
     """Smallest order at which the identity decomposition over the model's
     slit projectors closes; equals the construction order for healthy models.
@@ -684,17 +607,3 @@ def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
         if float(np.max(np.abs(diag - 1.0))) < tol:
             return candidate
     raise ValueError("the identity decomposition never closes; corrupt model?")
-
-
-def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
-    """Instantiate a coherence block from its formal slit-projector expansion.
-
-    This is the inclusion-exclusion route; it must agree with
-    `coherence_projector` on every sector and is tested as an invariant
-    rather than assumed.
-    """
-    expansion = coherence_expansion(sector)
-    diag = np.zeros(model.space.total_dim)
-    for subset, coeff in expansion.items():
-        diag += coeff * slit_projector(model, subset)
-    return diag

@@ -12,16 +12,16 @@ coordinates and a batch of trajectories is an ``(r, M)`` array; the target
 of marked item x is the unit vector at ``model.basis_index[x]``.
 
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
-strategy, seed, k_max) to a report; sweeps and the CLI go through it. Both
-symmetric schedules take an exact closed-form report at every N, in O(k)
-time and memory and without building a model: from the uniform start every
-marked trajectory is a rotation in a two-dimensional plane and the
-oracle-free control never moves, so each measure is a trigonometric function
-of k. ``quantum_grover_report`` covers quantum ``grover`` and
-``reflection_report`` every ``reflect`` run. Only ``random`` runs simulate
-the dense sector coordinates with `run_search`, which, with
-`grover_schedule` and `reflection_schedule`, is also the test suite's
-reference for both closed forms.
+strategy, seed, k_max) to a report, and the one place that maps a strategy
+to a route; sweeps and the CLI go through it. It checks the whole spec
+before it builds anything. Both symmetric strategies take an exact
+closed-form report at every N, in O(k) time and memory and without building
+a model: from the uniform start every marked trajectory is a rotation in a
+two-dimensional plane and the oracle-free control never moves, so each
+measure is a trigonometric function of k. ``quantum_grover_report`` covers
+quantum ``grover`` and ``reflection_report`` every ``reflect`` run. Only
+``random`` runs simulate the dense sector coordinates, with `run_search` on
+a `random_schedule`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .models import (
     NumericError,
     _check_state,
     build_model,
-    conjugate_rows,
     default_dims_per_size,
     descriptor_from_spec,
     haar_orthogonal,
@@ -58,11 +57,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "oracle_displacement",
-    "diffusion_unitary",
-    "grover_schedule",
-    "reflection_schedule",
     "random_schedule",
-    "make_schedule",
     "run_search",
     "quantum_grover_report",
     "reflection_report",
@@ -142,11 +137,6 @@ def oracle_displacement(model: Model, state: np.ndarray) -> float:
     return total
 
 
-def diffusion_unitary(n_items: int) -> np.ndarray:
-    """The amplitude-space inversion about the uniform superposition."""
-    return np.full((n_items, n_items), 2.0 / n_items) - np.eye(n_items)
-
-
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
@@ -169,29 +159,6 @@ class Schedule:
         return self.apply_fn(index, rows)
 
 
-def grover_schedule(model: Model) -> Schedule:
-    """Every step is the inversion-about-uniform conjugation ``rho -> U rho U^T``."""
-    if model.kind != "quantum":
-        raise ValueError("the grover strategy is defined on the quantum model only")
-    diffusion = diffusion_unitary(model.n_slits)
-    return Schedule("grover", lambda _k, rows: conjugate_rows(model, diffusion, rows))
-
-
-def reflection_schedule(model: Model) -> Schedule:
-    """Every step reflects about the model's uniform state s: ``2 s s^t / <s,s> - 1``.
-
-    The generalised diffusion step for models without a native algorithm,
-    applied as a rank-1 update. On the quantum model this sector-coordinate
-    reflection is not the lift of the amplitude-space diffusion unitary;
-    the ``grover`` schedule uses the conjugation instead.
-    """
-    axis = model.uniform_state
-    sq = float(np.dot(axis, axis))
-    if sq <= 0.0:
-        raise ValueError("cannot reflect about the zero vector")
-    return Schedule("reflect", lambda _k, rows: np.outer((2.0 / sq) * (rows @ axis), axis) - rows)
-
-
 def random_schedule(model: Model, seed: int) -> Schedule:
     """Independent Haar-distributed steps, reproducible from the seed.
 
@@ -212,16 +179,6 @@ def random_schedule(model: Model, seed: int) -> Schedule:
         return rows @ qb @ frame.T
 
     return Schedule(f"random:{seed}", apply_fn, seed=seed)
-
-
-def make_schedule(model: Model, strategy: str, seed: int = 0) -> Schedule:
-    if strategy == "grover":
-        return grover_schedule(model)
-    if strategy == "reflect":
-        return reflection_schedule(model)
-    if strategy == "random":
-        return random_schedule(model, seed)
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def default_strategy(kind: str) -> str:
@@ -499,9 +456,12 @@ def _symmetric_report(
 # step's output and its temporaries, the oracle diagonals and the measures'
 # difference arrays: about a dozen (N + 1) x M float arrays at once (traced
 # peaks of random runs: 11 at quantum(127), 12 at classical(1024)). Capping
-# one at 2^21 entries (16 MiB) keeps a run under 200 MB and still admits the
-# largest dense runs in use, classical(1024) at 1.05e6 entries and quantum
-# up to N = 127.
+# one at 2^21 entries (16 MiB) still admits the largest dense runs in use,
+# classical(1024) at 1.05e6 entries and quantum up to N = 127. At the cap,
+# quantum(127) with one BLAS thread (Python 3.11.7, numpy 2.4.6, x86-64),
+# the arrays the run allocates peak at 184.2 MB (tracemalloc), and the whole
+# process at 241 MB (ru_maxrss, of which 29 MB is the interpreter and numpy
+# before the run); neither figure depends on k.
 MAX_DENSE_ENTRIES = 2**21
 
 
@@ -520,22 +480,24 @@ def run_experiment(
     ``kind`` and ``order`` pick the model (see `model_order`); ``strategy``
     defaults to the family's standard schedule, ``seed`` seeds a random one
     and ``k_max`` defaults to `default_k_max`, resolved once N is known to be
-    valid. Every ``reflect`` run and every quantum ``grover`` run takes its
-    exact closed form at every N and builds no model, so it has no step for
-    ``tol`` to check; only ``random`` runs simulate the dense sector
-    coordinates, and one past `MAX_DENSE_ENTRIES` is refused with
-    `EnumerationLimitError` before any sector is enumerated.
+    valid. The whole spec is checked before anything is built: the model
+    spec, the strategy (``grover`` is defined on the quantum model only),
+    the size of a dense run and ``k_max``. Every ``reflect`` run and every
+    quantum ``grover`` run takes its exact closed form at every N and builds
+    no model, so it has no step for ``tol`` to check; only ``random`` runs
+    simulate the dense sector coordinates, and one past `MAX_DENSE_ENTRIES`
+    is refused with `EnumerationLimitError` before any sector is enumerated.
     """
     if strategy is None:
         strategy = default_strategy(kind)
     order = model_order(kind, n_items, order)
     if k_max is None:
         k_max = default_k_max(n_items)
-    if strategy == "reflect":
-        return reflection_report(kind, n_items, order, k_max)
-    if strategy == "grover" and kind == "quantum":
-        return quantum_grover_report(n_items, k_max)
-    if strategy == "random":  # the one dense route; other strategies fail in make_schedule
+    if strategy not in ("grover", "reflect", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "grover" and kind != "quantum":
+        raise ValueError("the grover strategy is defined on the quantum model only")
+    if strategy == "random":
         dims = default_dims_per_size(kind, order)
         m_dim = sum(dim * math.comb(n_items, size) for size, dim in dims.items())
         if (n_items + 1) * m_dim > MAX_DENSE_ENTRIES:
@@ -544,8 +506,15 @@ def run_experiment(
                 f"{n_items + 1} x {m_dim} state arrays, past the guard of "
                 f"{MAX_DENSE_ENTRIES} entries"
             )
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+
+    if strategy == "reflect":
+        return reflection_report(kind, n_items, order, k_max)
+    if strategy == "grover":
+        return quantum_grover_report(n_items, k_max)
     model = build_model(kind, n_items, order)
-    return run_search(model, make_schedule(model, strategy, seed), k_max, tol=tol)
+    return run_search(model, random_schedule(model, seed), k_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "decomposition_coefficient",
     "identity_decomposition",
     "coherence_expansion",
-    "signed_pairing_count",
     "signed_pairing_counts",
     "signed_pairing_count_closed",
     "MAX_UNIVERSE",
@@ -251,9 +250,12 @@ def signed_pairing_counts(left: SlitSet, right: SlitSet) -> dict[int, int]:
     One pass over every pair ``(A <= left, B <= right)``: each pair adds +1
     (``|A| + |B|`` even) or -1 (odd) to the tally of the bitmask of
     ``A & B``. The result maps each ``meet.mask``, for every ``meet`` contained
-    in ``left & right``, to the signed count that `signed_pairing_count`
-    returns for it, so checking all the meets of one pair of subsets costs
-    ``2**(|left| + |right|)`` steps instead of that many per meet.
+    in ``left & right``, to the signed count of the sub-pairs with
+    ``A & B == meet``: the even-parity pairs minus the odd-parity ones. So
+    checking all the meets of one pair of subsets costs
+    ``2**(|left| + |right|)`` steps instead of that many per meet. This is
+    the brute-force route that `signed_pairing_count_closed` is tested
+    against.
     """
     left._check_universe(right)
     if len(left) + len(right) > MAX_PAIR_ENUMERATION:
@@ -282,22 +284,10 @@ def signed_pairing_counts(left: SlitSet, right: SlitSet) -> dict[int, int]:
     return counts
 
 
-def signed_pairing_count(left: SlitSet, right: SlitSet, meet: SlitSet) -> int:
-    """Exhaustive signed count of sub-pairs with a prescribed intersection.
-
-    Counts every pair ``(A <= left, B <= right)`` with ``A & B == meet``
-    and returns the number of even-parity pairs (``|A| + |B|`` even) minus the
-    odd-parity ones. This is the brute-force route, read off
-    `signed_pairing_counts`; `signed_pairing_count_closed` is the
-    constant-time counterpart they are tested against.
-    """
-    _check_pairing_args(left, right, meet)
-    return signed_pairing_counts(left, right)[meet.mask]
-
-
 def signed_pairing_count_closed(left: SlitSet, right: SlitSet, meet: SlitSet) -> int:
-    """Closed form of `signed_pairing_count`: 0 unless the two subsets
-    coincide, in which case the count is ``(-1)**(|left| + |meet|)``."""
+    """Closed form of ``signed_pairing_counts(left, right)[meet.mask]``: 0
+    unless the two subsets coincide, in which case the count is
+    ``(-1)**(|left| + |meet|)``. The meet must lie in ``left & right``."""
     _check_pairing_args(left, right, meet)
     if left != right:
         return 0

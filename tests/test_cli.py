@@ -6,6 +6,7 @@ import time
 import pytest
 
 import hoisearch.cli
+import hoisearch.search
 from hoisearch.cli import main
 from hoisearch.subsets import EnumerationLimitError, SlitSet
 
@@ -142,6 +143,21 @@ def test_search_rejects_grover_on_classical(capsys):
     )
     assert code == 2
     assert "quantum" in err
+
+
+def test_grover_on_a_large_synthetic_model_is_refused_at_once(capsys, monkeypatch):
+    # C(1000, 4) = 4e10 sectors: the strategy is refused before any model is built
+    def no_model(*_args):
+        raise AssertionError("a refused spec built a model")
+
+    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    code, out, err = run_cli(
+        capsys, "search", "--model", "synthetic", "--n", "1000", "--h", "4",
+        "--strategy", "grover",
+    )
+    assert code == 2
+    assert err == "error: the grover strategy is defined on the quantum model only\n"
+    assert out == ""
 
 
 def test_search_json_output(capsys, tmp_path):

@@ -5,43 +5,43 @@ computations (Hilbert-Schmidt traces, explicit sandwiches); the projector
 algebra is checked as matrix identities, not assumed from the construction.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hoisearch.models import (
+    DEFAULT_TOL,
     build_model,
     build_sector_space,
     classical_model,
     descriptor_from_spec,
-    coherence_from_slit_projectors,
     coherence_projector,
     embed_density,
     haar_orthogonal,
     interference_order,
-    lift_superoperator,
-    lift_unitary_conjugation,
-    model_from_descriptor,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
     unembed_density,
     uniform_block_weights,
-    verify_coherence_completeness,
-    verify_coherence_orthogonality,
     coherence_completeness_defect,
     coherence_orthogonality_defects,
 )
 from hoisearch.search import (
     oracle_displacement,
     random_schedule,
-    reflection_schedule,
     run_search,
 )
 from hoisearch.subsets import SlitSet
+
+from reference import (
+    coherence_from_slit_projectors,
+    lift_superoperator,
+    lift_unitary_conjugation,
+    reflection_schedule,
+)
 
 
 def s(members, universe):
@@ -252,19 +252,6 @@ def test_basis_states_are_orthonormal_everywhere():
         assert np.array_equal(basis @ basis.T, np.eye(model.n_slits))
 
 
-def test_model_descriptor_round_trip():
-    for model in (classical_model(3), quantum_model(4), synthetic_model(5, 3)):
-        text = json.dumps(model.descriptor(), sort_keys=True)
-        clone = model_from_descriptor(json.loads(text))
-        assert clone.kind == model.kind
-        assert clone.descriptor() == model.descriptor()
-        assert clone.space.offsets == model.space.offsets
-        assert clone.space.total_dim == model.space.total_dim
-        assert np.array_equal(clone.uniform_state, model.uniform_state)
-        assert np.array_equal(clone.basis_index, model.basis_index)
-        assert model_from_descriptor(text).descriptor() == model.descriptor()
-
-
 def test_spec_descriptors_and_block_weights_match_the_built_models():
     # the closed-form reports describe and weigh the uniform state from the
     # spec alone; both must agree with the model they never build
@@ -370,8 +357,9 @@ def test_quantum_triple_coherence_vanishes():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
 def test_coherence_completeness_and_orthogonality(model):
-    assert verify_coherence_completeness(model)
-    assert verify_coherence_orthogonality(model)
+    assert coherence_completeness_defect(model) < DEFAULT_TOL
+    pair, pyth = coherence_orthogonality_defects(model)
+    assert pair < DEFAULT_TOL and pyth < DEFAULT_TOL
 
 
 def test_pythagoras_over_random_vectors():
@@ -391,10 +379,10 @@ def test_corrupted_projectors_fail_verification():
     # block 0 leaks onto coordinate 3, which belongs to another block
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[0, 3] = 1e-3
-    assert not verify_coherence_completeness(model, projectors=family)
-    pair, _ = coherence_orthogonality_defects(model, family)
+    assert not coherence_completeness_defect(model, family) < DEFAULT_TOL
+    pair, pyth = coherence_orthogonality_defects(model, family)
     assert pair > 1e-9
-    assert not verify_coherence_orthogonality(model, projectors=family)
+    assert not (pair < DEFAULT_TOL and pyth < DEFAULT_TOL)
 
 
 def test_projector_family_of_the_wrong_shape_is_rejected():
@@ -462,7 +450,7 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     got = coherence_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
     assert got[0] == 1.0
-    assert not verify_coherence_orthogonality(model, projectors=family)
+    assert not (got[0] < DEFAULT_TOL and got[1] < DEFAULT_TOL)
     # a single sector: the diagonal term alone
     single = classical_model(1)
     family = np.array([[-0.5]])
@@ -475,9 +463,9 @@ def test_orthogonality_defect_with_a_nan_fails():
     model = quantum_model(3)
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[2, 1] = np.nan
-    pair, _ = coherence_orthogonality_defects(model, family)
+    pair, pyth = coherence_orthogonality_defects(model, family)
     assert np.isnan(pair)
-    assert not verify_coherence_orthogonality(model, projectors=family)
+    assert not (pair < DEFAULT_TOL and pyth < DEFAULT_TOL)
 
 
 def test_interference_order_detection():

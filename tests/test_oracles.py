@@ -6,7 +6,6 @@ import pytest
 
 from hoisearch.models import (
     classical_model,
-    lift_unitary_conjugation,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -14,6 +13,8 @@ from hoisearch.models import (
 )
 from hoisearch.search import oracle_displacement
 from hoisearch.subsets import SlitSet
+
+from reference import lift_unitary_conjugation
 
 
 def s(members, universe):

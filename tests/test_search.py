@@ -7,7 +7,9 @@ these formulas; they gate its output here. The closed-form report
 ``quantum_grover_report`` is built from them, so it is cross-checked against
 the dense route and against a direct amplitude simulation kept below as the
 reference. The closed-form ``reflection_report`` is cross-checked against the
-dense ``reflection_schedule`` run in every family.
+dense ``reflection_schedule`` run in every family. The dense schedules are
+test references (``reference.py``); `run_experiment` maps every strategy to
+its route and checks the whole spec before it builds a model.
 """
 
 import dataclasses
@@ -26,7 +28,6 @@ from hoisearch.models import (
     build_model,
     classical_model,
     coherence_projector,
-    lift_unitary_conjugation,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -38,15 +39,11 @@ from hoisearch.search import (
     check_upper_bound,
     ProgressReport,
     Schedule,
-    diffusion_unitary,
     default_k_max,
-    grover_schedule,
-    make_schedule,
     oracle_displacement,
     quantum_grover_report,
     random_schedule,
     reflection_report,
-    reflection_schedule,
     reports_to_json,
     run_experiment,
     run_search,
@@ -57,6 +54,8 @@ from hoisearch.search import (
     MAX_DENSE_ENTRIES,
     REPORT_CSV_COLUMNS,
 )
+
+from reference import grover_schedule, lift_unitary_conjugation, reflection_schedule
 
 
 def assert_reports_equal(got, want, label=None, rel=0.0):
@@ -138,7 +137,7 @@ def amplitude_grover_reference(n, k_max):
 def test_uniform_start_success_is_one_over_n():
     for model in (classical_model(4), quantum_model(4), synthetic_model(4, 3)):
         assert model.uniform_state[model.basis_index] == pytest.approx(np.full(4, 0.25))
-        report = run_search(model, make_schedule(model, "reflect"), 0)
+        report = run_search(model, reflection_schedule(model), 0)
         assert report.success[0] == pytest.approx(np.full(4, 0.25))
 
 
@@ -187,7 +186,7 @@ def test_grover_step_matches_the_lifted_diffusion():
     for n in range(2, 9):
         model = quantum_model(n)
         step = grover_schedule(model).apply(1, np.eye(model.space.total_dim)).T
-        lifted = lift_unitary_conjugation(model, diffusion_unitary(n))
+        lifted = lift_unitary_conjugation(model, np.full((n, n), 2.0 / n) - np.eye(n))
         assert np.max(np.abs(step - lifted)) < 1e-12, n
 
 
@@ -197,17 +196,6 @@ def test_reflect_step_matches_the_explicit_reflection():
         explicit = 2.0 * np.outer(s, s) / np.dot(s, s) - np.eye(s.shape[0])
         step = reflection_schedule(model).apply(1, np.eye(s.shape[0])).T
         assert np.max(np.abs(step - explicit)) < 1e-12, model.kind
-
-
-def test_make_schedule_dispatch_and_validation():
-    model = quantum_model(3)
-    assert make_schedule(model, "grover").name == "grover"
-    assert make_schedule(model, "reflect").name == "reflect"
-    assert make_schedule(model, "random", 5).name == "random:5"
-    with pytest.raises(ValueError):
-        make_schedule(classical_model(3), "grover")
-    with pytest.raises(ValueError):
-        make_schedule(model, "annealing")
 
 
 def test_random_schedule_is_deterministic_with_distinct_steps():
@@ -478,6 +466,36 @@ def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("synthetic", 10**6, "grover"), {"order": 4},
+         "the grover strategy is defined on the quantum model only"),
+        (("quantum", 8, "annealing"), {}, "unknown strategy 'annealing'"),
+        (("quantum", 127, "random"), {"k_max": -1}, "k_max must be >= 0, got -1"),
+    ],
+    ids=["grover-on-synthetic", "unknown-strategy", "negative-k_max"],
+)
+def test_no_spec_error_builds_a_model(monkeypatch, args, kwargs, message):
+    # the whole spec is checked first: synthetic(10^6, 4) alone has 4e22 sectors
+    def no_model(*_args):
+        raise AssertionError("a refused spec built a model")
+
+    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    with pytest.raises(ValueError) as excinfo:
+        run_experiment(*args, **kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_random_runs_take_run_search_on_a_random_schedule():
+    for kind, n, h in (("classical", 5, None), ("quantum", 4, None), ("synthetic", 5, 3)):
+        model = build_model(kind, n, h)
+        dense = run_search(model, random_schedule(model, 5), 3)
+        got = run_experiment(kind, n, "random", order=h, seed=5, k_max=3)
+        assert got.strategy == "random:5" and got.seed == 5, kind
+        assert_reports_equal(got, dense, kind)
+
+
+@pytest.mark.parametrize(
     "kind, n, order",
     [("quantum", 1, None), ("classical", 0, None), ("classical", 4, 2), ("synthetic", 4, None),
      ("synthetic", 0, 1), ("synthetic", 3, 4), ("synthetic", 3, 0), ("thermal", 4, 1)],
@@ -548,7 +566,7 @@ def three_buffer_measures(model, with_states, free_states):
     ids=["quantum13-grover", "quantum16-random", "synthetic16-4-random"],
 )
 def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
-    schedule = make_schedule(model, strategy, seed=3)
+    schedule = grover_schedule(model) if strategy == "grover" else random_schedule(model, 3)
     k_max = default_k_max(model.n_slits)
     report = run_search(model, schedule, k_max)
     divergence, gap_with, gap_without, success = three_buffer_measures(
@@ -592,7 +610,7 @@ def test_first_crossing_and_first_peak():
     _, report = grover_run(16, 8)
     assert report.first_crossing() == 2
     assert report.first_peak() == 3
-    flat = run_search(classical_model(8), make_schedule(classical_model(8), "reflect"), 5)
+    flat = run_search(classical_model(8), reflection_schedule(classical_model(8)), 5)
     assert flat.first_crossing() is None
     assert flat.first_peak() == 5  # flat series degenerates to the last index
 
@@ -639,7 +657,7 @@ def test_lower_bound_check_at_crossing():
 
 def test_lower_bound_check_is_vacuous_without_crossing():
     model = classical_model(8)
-    report = run_search(model, make_schedule(model, "reflect"), 4)
+    report = run_search(model, reflection_schedule(model), 4)
     check = check_lower_bound(report)
     assert not check.crossed and check.holds and check.crossing_k is None
 

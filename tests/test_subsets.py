@@ -14,7 +14,6 @@ from hoisearch.subsets import (
     decomposition_coefficient,
     enumerate_sectors,
     identity_decomposition,
-    signed_pairing_count,
     signed_pairing_count_closed,
     signed_pairing_counts,
 )
@@ -227,16 +226,16 @@ def test_mobius_recovery():
 
 def test_pairing_disjoint_singletons_cancel():
     # 4 sub-pairs, 2 even - 2 odd
-    assert signed_pairing_count(s([0], 2), s([1], 2), s([], 2)) == 0
+    assert signed_pairing_counts(s([0], 2), s([1], 2))[s([], 2).mask] == 0
 
 
 def test_pairing_equal_singletons():
-    assert signed_pairing_count(s([0], 1), s([0], 1), s([0], 1)) == 1
+    assert signed_pairing_counts(s([0], 1), s([0], 1))[s([0], 1).mask] == 1
 
 
 def test_pairing_equal_pairs_empty_meet():
     # exhaustive enumeration gives 5 even - 4 odd sub-pairs
-    assert signed_pairing_count(s([0, 1], 2), s([0, 1], 2), s([], 2)) == 1
+    assert signed_pairing_counts(s([0, 1], 2), s([0, 1], 2))[s([], 2).mask] == 1
 
 
 def test_pairing_closed_form_values():
@@ -254,18 +253,19 @@ def test_pairing_brute_equals_closed_exhaustively():
     ]
     for left in subsets:
         for right in subsets:
+            counts = signed_pairing_counts(left, right)
             for meet in left.intersection(right).subsets(include_empty=True):
-                assert signed_pairing_count(left, right, meet) == (
+                assert counts[meet.mask] == (
                     signed_pairing_count_closed(left, right, meet)
                 ), (left, right, meet)
 
 
 def test_pairing_validation():
     with pytest.raises(ValueError):
-        signed_pairing_count(s([0], 3), s([1], 3), s([2], 3))
+        signed_pairing_count_closed(s([0], 3), s([1], 3), s([2], 3))
     big = s(range(25), 25)
     with pytest.raises(EnumerationLimitError):
-        signed_pairing_count(big, big, s([], 25))
+        signed_pairing_counts(big, big)
 
 
 def per_triple_pairing_reference(left, right, meet):
@@ -305,14 +305,13 @@ def test_pairing_counts_match_per_triple_enumeration():
             for meet in meets:
                 expected = per_triple_pairing_reference(left, right, meet)
                 assert counts[meet.mask] == expected, (left, right, meet)
-                assert signed_pairing_count(left, right, meet) == expected
 
 
 def test_pairing_counts_validation():
     with pytest.raises(ValueError, match="universe mismatch"):
         signed_pairing_counts(s([0], 3), s([0], 4))
     with pytest.raises(ValueError, match="universe mismatch"):
-        signed_pairing_count(s([0], 3), s([0], 3), s([0], 4))
+        signed_pairing_count_closed(s([0], 3), s([0], 3), s([0], 4))
     big = s(range(25), 25)
     with pytest.raises(EnumerationLimitError):
         signed_pairing_counts(big, big)
