@@ -13,6 +13,8 @@ The package splits into four layers:
   bound / sweep subcommands.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .subsets import (
     EnumerationLimitError,
@@ -63,4 +65,4 @@ from .search import (
     scaling_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

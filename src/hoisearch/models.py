@@ -93,6 +93,16 @@ class SectorSpace:
         return slice(start, start + self.dims_per_size[len(sector)])
 
     @functools.cached_property
+    def owner(self) -> np.ndarray:
+        """Position in `sectors` of the block holding each coordinate, ``(M,)``.
+
+        Every block-constant diagonal is an ``(S,)`` per-sector vector indexed
+        by it; the blocks are laid out in sector order (`build_sector_space`).
+        """
+        widths = [self.dims_per_size[len(s)] for s in self.sectors]
+        return np.repeat(np.arange(len(self.sectors)), widths)
+
+    @functools.cached_property
     def _density_index(self) -> tuple[np.ndarray, ...]:
         """``(diag, rows, cols, pair)`` of a quantum layout: rho_ii sits at
         coordinate ``diag[i]``; for the p-th pair ``rows[p] < cols[p]`` the
@@ -410,11 +420,12 @@ def sign_flip_oracle(model: Model, marked: int) -> np.ndarray:
     space = model.space
     if not 0 <= marked < space.n_slits:
         raise ValueError(f"marked item {marked} out of range 0..{space.n_slits - 1}")
-    diag = np.ones(space.total_dim)
-    for sector in space.sectors:
-        if len(sector) > 1 and marked in sector:
-            diag[space.sector_slice(sector)] = -1.0
-    return diag
+    return np.where(_flipped_sectors(space, marked)[space.owner], -1.0, 1.0)
+
+
+def _flipped_sectors(space: SectorSpace, marked: int) -> np.ndarray:
+    """``(S,)`` mask of the blocks the oracle for ``marked`` flips."""
+    return np.array([len(s) > 1 and marked in s for s in space.sectors], dtype=bool)
 
 
 def verify_oracle(
@@ -433,33 +444,20 @@ def verify_oracle(
     mat = np.asarray(candidate, dtype=float)
     if mat.shape != (m, m):
         raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
-    eye = np.eye(m)
-    fix_defect = 0.0
-    commute_defect = 0.0
-    for sector in space.sectors:
-        sl = space.sector_slice(sector)
-        # the commutator with a block projector is exactly the two cross-block
-        # strips of the matrix: rows in the block against columns outside, and
-        # vice versa
-        col_strip = mat[:, sl].copy()
-        col_strip[sl, :] = 0.0
-        row_strip = mat[sl, :].copy()
-        row_strip[:, sl] = 0.0
-        commute_defect = max(
-            commute_defect,
-            float(np.max(np.abs(col_strip))) if col_strip.size else 0.0,
-            float(np.max(np.abs(row_strip))) if row_strip.size else 0.0,
-        )
-        if marked not in sector or len(sector) == 1:
-            fix_defect = max(
-                fix_defect, float(np.max(np.abs(mat[:, sl] - eye[:, sl])))
-            )
+    owner = space.owner
+    # the commutator with a block projector is exactly the entries that join
+    # that block to another, so the worst block's is the largest such entry
+    commute_defect = np.max(np.abs(mat), where=owner[:, None] != owner[None, :], initial=0.0)
+    fixed = np.flatnonzero(~_flipped_sectors(space, marked)[owner])
+    moved = mat[:, fixed]
+    moved[fixed, np.arange(fixed.size)] -= 1.0
+    fix_defect = np.max(np.abs(moved), initial=0.0)
     gram = mat.T @ mat
     gram.flat[:: m + 1] -= 1.0
     return OracleCheck(
         marked=marked,
-        fixed_sector_defect=fix_defect,
-        commutation_defect=commute_defect,
+        fixed_sector_defect=float(fix_defect),
+        commutation_defect=float(commute_defect),
         orthogonality_defect=float(np.max(np.abs(gram))),
         tol=tol,
     )
@@ -543,7 +541,8 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
 def _projector_family(model: Model, projectors: np.ndarray | None) -> np.ndarray:
     """The (S, M) stack of block diagonals, one row per sector."""
     if projectors is None:
-        return np.stack([coherence_projector(model, s) for s in model.space.sectors])
+        space = model.space
+        return (space.owner == np.arange(len(space.sectors))[:, None]).astype(float)
     family = np.asarray(projectors, dtype=float)
     expected = (len(model.space.sectors), model.space.total_dim)
     if family.shape != expected:

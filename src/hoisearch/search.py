@@ -128,13 +128,8 @@ def oracle_displacement(model: Model, state: np.ndarray) -> float:
     """
     space = model.space
     coords = _check_state(model, state)
-    total = 0.0
-    for sector in space.sectors:
-        size = len(sector)
-        if size > 1:
-            block = coords[space.sector_slice(sector)]
-            total += 4.0 * size * float(np.dot(block, block))
-    return total
+    sizes = np.array([len(s) if len(s) > 1 else 0 for s in space.sectors], dtype=float)
+    return 4.0 * float(np.dot(sizes[space.owner], coords * coords))
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +595,15 @@ class SweepResult:
     rows: list[SweepRow]
 
     def exponent(self, statistic: str = "crossing") -> float | None:
-        """Log-log slope of the chosen query count against the list size."""
+        """Log-log slope of the chosen query count against the list size;
+        None unless rows of at least two distinct N have a count >= 1."""
         xs, ys = [], []
         for row in self.rows:
             value = row.k_star if statistic == "crossing" else row.k_peak
             if value is not None and value >= 1:
                 xs.append(math.log(row.n_slits))
                 ys.append(math.log(value))
-        if len(xs) < 2:
+        if len(set(xs)) < 2:
             return None
         slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
         return float(slope)

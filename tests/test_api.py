@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "enumerate_sectors",
     "identity_decomposition",
     "interference_order",
-    "models",
     "oracle_displacement",
     "quantum_grover_report",
     "quantum_model",
@@ -46,12 +45,10 @@ PUBLIC_NAMES = [
     "run_experiment",
     "run_search",
     "scaling_sweep",
-    "search",
     "sign_flip_oracle",
     "signed_pairing_count_closed",
     "signed_pairing_counts",
     "slit_projector",
-    "subsets",
     "synthetic_model",
     "unembed_density",
     "verify_oracle",

@@ -72,10 +72,13 @@ def test_build_sector_space_dimensions():
 def test_build_sector_space_offsets_partition():
     space = build_sector_space(4, 2, {1: 1, 2: 3})
     seen = np.zeros(space.total_dim, dtype=int)
-    for sector in space.sectors:
+    owner = np.empty(space.total_dim, dtype=int)
+    for position, sector in enumerate(space.sectors):
         sl = space.sector_slice(sector)
         seen[sl] += 1
+        owner[sl] = position
     assert np.all(seen == 1)
+    assert np.array_equal(space.owner, owner)
 
 
 def test_build_sector_space_validation():
@@ -129,16 +132,18 @@ def test_quantum_model_basics():
         quantum_model(1)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        classical_model(5),
-        quantum_model(4),
-        synthetic_model(5, 3),
-        synthetic_model(4, 3, {1: 2, 2: 3, 3: 1}),
-    ],
-    ids=["classical", "quantum", "synthetic", "synthetic-wide"],
-)
+# the last is the only layout whose singleton blocks are wider than one
+# coordinate
+MODELS = [
+    classical_model(5),
+    quantum_model(4),
+    synthetic_model(5, 3),
+    synthetic_model(4, 3, {1: 2, 2: 3, 3: 1}),
+]
+MODEL_IDS = ["classical", "quantum", "synthetic", "synthetic-wide"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_basis_index_selects_the_unit_basis_states(model):
     # each family's basis state i, built the way the family defines it: a
     # probability vector, the embedded projector |i><i|, and the unit vector
@@ -273,10 +278,7 @@ def test_spec_descriptors_and_block_weights_match_the_built_models():
 # Projector algebra
 # ---------------------------------------------------------------------------
 
-MODELS = [classical_model(5), quantum_model(4), synthetic_model(5, 3)]
-
-
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_slit_projector_laws(model):
     n = model.n_slits
     rng = np.random.default_rng(3)
@@ -293,7 +295,7 @@ def test_slit_projector_laws(model):
     assert np.array_equal(full, np.ones(model.space.total_dim))
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_coherence_projector_matches_formal_expansion(model):
     for sector in model.space.sectors:
         direct = coherence_projector(model, sector)
@@ -355,7 +357,7 @@ def test_quantum_triple_coherence_vanishes():
     assert np.max(np.abs(total)) < 1e-12
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_coherence_completeness_and_orthogonality(model):
     assert coherence_completeness_defect(model) < DEFAULT_TOL
     pair, pyth = coherence_orthogonality_defects(model)

@@ -59,9 +59,13 @@ def test_synthetic_oracle_sign_pattern():
     assert flipped == expected
 
 
+# the only layout whose singleton blocks are wider than one coordinate
+WIDE = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+IDS = ["classical", "quantum", "synthetic", "synthetic-wide"]
+
+
 @pytest.mark.parametrize(
-    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 3)],
-    ids=lambda m: m.kind,
+    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 3), WIDE], ids=IDS
 )
 def test_oracle_is_an_orthogonal_involution(model):
     for x in range(model.n_slits):
@@ -72,8 +76,7 @@ def test_oracle_is_an_orthogonal_involution(model):
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 4)],
-    ids=lambda m: m.kind,
+    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 4), WIDE], ids=IDS
 )
 def test_sign_flip_oracle_passes_verification_exactly(model):
     for x in range(model.n_slits):
@@ -116,6 +119,26 @@ def test_fix_condition_catches_action_on_unmarked_sectors():
     check = verify_oracle(model, np.diag(diag), 0)
     assert check.commutation_defect == 0.0
     assert check.fixed_sector_defect == 2.0
+    assert not check.passed
+
+
+@pytest.mark.parametrize(
+    "entry, field, other",
+    [
+        # joins the singleton block {0} to the pair block {0, 2}
+        ((0, 5), "commutation_defect", "fixed_sector_defect"),
+        # inside the singleton block {1}, which every oracle fixes
+        ((1, 1), "fixed_sector_defect", "commutation_defect"),
+    ],
+    ids=["cross-block", "fixed-block"],
+)
+def test_verify_oracle_reports_a_nan_entry(entry, field, other):
+    model = quantum_model(3)
+    mat = np.diag(sign_flip_oracle(model, 0))
+    mat[entry] = np.nan
+    check = verify_oracle(model, mat, 0)
+    assert np.isnan(getattr(check, field))
+    assert getattr(check, other) == 0.0
     assert not check.passed
 
 
@@ -170,8 +193,7 @@ def test_diagonal_only_states_are_not_displaced():
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(6), quantum_model(4), synthetic_model(5, 3)],
-    ids=lambda m: m.kind,
+    "model", [classical_model(6), quantum_model(4), synthetic_model(5, 3), WIDE], ids=IDS
 )
 def test_displacement_bound_and_literal_agreement(model):
     rng = np.random.default_rng(42)

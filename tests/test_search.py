@@ -684,6 +684,14 @@ def test_classical_sweep_saturates():
     assert result.exponent("crossing") is None
 
 
+def test_sweep_exponent_needs_two_distinct_n():
+    # rows of one N give a single x value, through which no line is fitted
+    result = scaling_sweep("quantum", [64, 64], "grover")
+    assert [row.k_star for row in result.rows] == [3, 3]
+    assert result.exponent("crossing") is None
+    assert result.exponent("peak") is None
+
+
 def test_synthetic_sweep_records_without_asserting_success():
     result = scaling_sweep("synthetic", [4, 6], "reflect", order=3)
     assert len(result.rows) == 2
