@@ -26,7 +26,6 @@ from .models import (
     NumericError,
     build_model,
     classical_model,
-    coherence_projector,
     interference_order,
     quantum_model,
     sign_flip_oracle,
@@ -135,14 +134,6 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _corrupted_family(model: Model) -> np.ndarray:
-    # block 0 gains 1e-3 on the last coordinate: the family no longer sums to
-    # the identity and block 0 is no longer idempotent or orthogonal to the rest
-    family = np.stack([coherence_projector(model, s) for s in model.space.sectors])
-    family[0, -1] += 1e-3
-    return family
-
-
 def _verify_exact_cell(n: int, h: int) -> tuple[bool, str]:
     acc: dict[SlitSet, int] = {}
     for sector in enumerate_sectors(n, h):
@@ -185,14 +176,11 @@ def _check_universe_flag(flag: str, n: int) -> None:
         )
 
 
-def _verify_model_cell(
-    model: Model, label: str, tol: float, corrupt: bool
-) -> list[tuple[str, bool, str]]:
-    family = _corrupted_family(model) if corrupt else None
+def _verify_model_cell(model: Model, label: str, tol: float) -> list[tuple[str, bool, str]]:
     rows = []
-    defect = coherence_completeness_defect(model, family)
+    defect = coherence_completeness_defect(model)
     rows.append((f"{label} completeness", defect < tol, f"defect {defect:.2e}"))
-    pair, pyth = coherence_orthogonality_defects(model, family)
+    pair, pyth = coherence_orthogonality_defects(model)
     rows.append(
         (
             f"{label} orthogonality",
@@ -200,26 +188,25 @@ def _verify_model_cell(
             f"pair {pair:.2e}, pythagoras {pyth:.2e}",
         )
     )
-    if not corrupt:
-        detected = interference_order(model, tol=tol)
-        rows.append(
-            (
-                f"{label} detected order",
-                detected == model.order,
-                f"detected {detected}, built {model.order}",
-            )
+    detected = interference_order(model, tol=tol)
+    rows.append(
+        (
+            f"{label} detected order",
+            detected == model.order,
+            f"detected {detected}, built {model.order}",
         )
-        checks = [
-            verify_oracle(model, np.diag(sign_flip_oracle(model, x)), x, tol=tol)
-            for x in (0, model.n_slits - 1)
-        ]
-        worst = max(
-            max(c.fixed_sector_defect, c.commutation_defect, c.orthogonality_defect)
-            for c in checks
-        )
-        rows.append(
-            (f"{label} oracle axioms", all(c.passed for c in checks), f"defect {worst:.2e}")
-        )
+    )
+    checks = [
+        verify_oracle(model, np.diag(sign_flip_oracle(model, x)), x, tol=tol)
+        for x in (0, model.n_slits - 1)
+    ]
+    worst = max(
+        max(c.fixed_sector_defect, c.commutation_defect, c.orthogonality_defect)
+        for c in checks
+    )
+    rows.append(
+        (f"{label} oracle axioms", all(c.passed for c in checks), f"defect {worst:.2e}")
+    )
     return rows
 
 
@@ -232,7 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         h = args.h if args.h is not None else min(n, 3)
         model = build_model("synthetic", n, h)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
-        rows.extend(_verify_model_cell(model, f"synthetic N={n} h={h}", tol, args.corrupt))
+        rows.extend(_verify_model_cell(model, f"synthetic N={n} h={h}", tol))
     else:
         n_max = args.n_max
         if n_max < 1:
@@ -256,13 +243,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok, msg = _verify_pairing_cell(pair_universe)
         rows.append((f"pairing counts universe<={pair_universe}", ok, msg))
         for n in range(1, n_max + 1):
-            rows.extend(_verify_model_cell(classical_model(n), f"classical N={n}", tol, args.corrupt))
+            rows.extend(_verify_model_cell(classical_model(n), f"classical N={n}", tol))
             if n >= 2:
-                rows.extend(_verify_model_cell(quantum_model(n), f"quantum N={n}", tol, args.corrupt))
+                rows.extend(_verify_model_cell(quantum_model(n), f"quantum N={n}", tol))
             for h in (3, 4):
                 if h <= n:
                     rows.extend(
-                        _verify_model_cell(synthetic_model(n, h), f"synthetic N={n} h={h}", tol, args.corrupt)
+                        _verify_model_cell(synthetic_model(n, h), f"synthetic N={n} h={h}", tol)
                     )
 
     width = max(len(r[0]) for r in rows)
@@ -452,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", default=None, help="verify a single N instead of the grid")
     p_verify.add_argument("--h", type=int, default=None, help="order for the single-N cell")
     p_verify.add_argument("--tol", type=tolerance, default=1e-9, help="numeric tolerance")
-    p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser(

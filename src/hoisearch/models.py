@@ -27,7 +27,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +103,17 @@ class SectorSpace:
         return np.repeat(np.arange(len(self.sectors)), widths)
 
     @functools.cached_property
+    def members(self) -> np.ndarray:
+        """``(S, N)`` bool: ``members[b, i]`` is whether block b involves slit
+        i. The oracles, `oracle_displacement` and the quantum embedding read
+        the blocks' slits from this table alone."""
+        blocks, slits = zip(*((b, i) for b, s in enumerate(self.sectors) for i in s.members))
+        table = np.zeros((len(self.sectors), self.n_slits), dtype=bool)
+        table[blocks, slits] = True
+        table.flags.writeable = False  # shared by every caller of the cached table
+        return table
+
+    @functools.cached_property
     def _density_index(self) -> tuple[np.ndarray, ...]:
         """``(diag, rows, cols, pair)`` of a quantum layout: rho_ii sits at
         coordinate ``diag[i]``; for the p-th pair ``rows[p] < cols[p]`` the
@@ -110,10 +121,9 @@ class SectorSpace:
         Sectors come singletons first, in slit order (`enumerate_sectors`).
         """
         n = self.n_slits
-        offsets = np.array([self.offsets[s] for s in self.sectors], dtype=np.intp)
-        pairs = np.array([s.members for s in self.sectors[n:]], dtype=np.intp)
-        rows, cols = pairs.reshape(-1, 2).T
-        return offsets[:n], rows, cols, offsets[n:]
+        starts = np.searchsorted(self.owner, np.arange(len(self.sectors)))
+        rows, cols = np.nonzero(self.members[n:])[1].reshape(-1, 2).T
+        return starts[:n], rows, cols, starts[n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,24 +418,26 @@ def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
     return diag
 
 
-def sign_flip_oracle(model: Model, marked: int) -> np.ndarray:
+def sign_flip_oracle(model: Model, marked: int | Sequence[int]) -> np.ndarray:
     """The canonical search oracle: flip the sign of every coherence block
     that involves the marked slit together with at least one other slit.
 
     Diagonal in sector coordinates, hence orthogonal and an involution; the
-    ±1 diagonal is returned. In the quantum model this reproduces conjugation
-    by the phase unitary that flags the marked basis state; in the classical
-    model no block qualifies and the oracle is the identity.
+    ±1 diagonal is returned, ``(M,)`` for one marked item and ``(r, M)``, a
+    row per item, for a sequence of r. In the quantum model this reproduces
+    conjugation by the phase unitary that flags the marked basis state; in
+    the classical model no block qualifies and the oracle is the identity.
     """
     space = model.space
-    if not 0 <= marked < space.n_slits:
-        raise ValueError(f"marked item {marked} out of range 0..{space.n_slits - 1}")
-    return np.where(_flipped_sectors(space, marked)[space.owner], -1.0, 1.0)
-
-
-def _flipped_sectors(space: SectorSpace, marked: int) -> np.ndarray:
-    """``(S,)`` mask of the blocks the oracle for ``marked`` flips."""
-    return np.array([len(s) > 1 and marked in s for s in space.sectors], dtype=bool)
+    items = np.asarray(marked)
+    if items.dtype.kind not in "iu":  # a bool array would index as a mask
+        raise ValueError(f"marked items must be integers, got dtype {items.dtype}")
+    outside = (items < 0) | (items >= space.n_slits)
+    if np.any(outside):
+        raise ValueError(f"marked item {items[outside][0]} out of range 0..{space.n_slits - 1}")
+    multi = space.members.sum(axis=1) > 1
+    flips = space.members.T[items] & multi  # (S,) or (r, S)
+    return np.where(flips[..., space.owner], -1.0, 1.0)
 
 
 def verify_oracle(
@@ -444,11 +456,11 @@ def verify_oracle(
     mat = np.asarray(candidate, dtype=float)
     if mat.shape != (m, m):
         raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
+    fixed = np.flatnonzero(sign_flip_oracle(model, marked) > 0)
     owner = space.owner
     # the commutator with a block projector is exactly the entries that join
     # that block to another, so the worst block's is the largest such entry
     commute_defect = np.max(np.abs(mat), where=owner[:, None] != owner[None, :], initial=0.0)
-    fixed = np.flatnonzero(~_flipped_sectors(space, marked)[owner])
     moved = mat[:, fixed]
     moved[fixed, np.arange(fixed.size)] -= 1.0
     fix_defect = np.max(np.abs(moved), initial=0.0)

@@ -128,7 +128,8 @@ def oracle_displacement(model: Model, state: np.ndarray) -> float:
     """
     space = model.space
     coords = _check_state(model, state)
-    sizes = np.array([len(s) if len(s) > 1 else 0 for s in space.sectors], dtype=float)
+    sizes = space.members.sum(axis=1)
+    sizes = np.where(sizes > 1, sizes, 0.0)
     return 4.0 * float(np.dot(sizes[space.owner], coords * coords))
 
 
@@ -283,10 +284,7 @@ def run_search(
     # last batch row is the oracle-free control: its "oracle" is the identity,
     # and sharing the batched step keeps it bit-identical to trajectories the
     # oracle leaves untouched (the classical collapse is then exact)
-    oracle_diags = np.vstack(
-        [sign_flip_oracle(model, x) for x in marked_items]
-        + [np.ones(m_dim)]
-    )
+    oracle_diags = np.vstack([sign_flip_oracle(model, marked_items), np.ones(m_dim)])
     # target rows: basis state x is the unit vector at basis_index[x]
     basis = np.zeros((n_marked, m_dim))
     basis[np.arange(n_marked), model.basis_index[list(marked_items)]] = 1.0
@@ -453,9 +451,9 @@ def _symmetric_report(
 # peaks of random runs: 11 at quantum(127), 12 at classical(1024)). Capping
 # one at 2^21 entries (16 MiB) still admits the largest dense runs in use,
 # classical(1024) at 1.05e6 entries and quantum up to N = 127. At the cap,
-# quantum(127) with one BLAS thread (Python 3.11.7, numpy 2.4.6, x86-64),
-# the arrays the run allocates peak at 184.2 MB (tracemalloc), and the whole
-# process at 241 MB (ru_maxrss, of which 29 MB is the interpreter and numpy
+# quantum(127) at k_max = 1, one BLAS thread (Python 3.11.7, numpy 2.4.6,
+# x86-64): the run's arrays peak at 185.6 MB (tracemalloc) and a `bound`
+# process at 243-245 MiB (ru_maxrss, 29 MiB of it the interpreter and numpy
 # before the run); neither figure depends on k.
 MAX_DENSE_ENTRIES = 2**21
 

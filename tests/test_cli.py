@@ -26,18 +26,25 @@ def test_verify_small_grid_passes(capsys):
     assert "quantum N=4 completeness" in out
 
 
-def test_verify_corrupt_hook_fails(capsys):
-    # the leak breaks every cell's completeness and orthogonality rows
+def test_verify_reports_a_failing_model_check(capsys, monkeypatch):
+    # a completeness defect past the tolerance fails every model cell's
+    # completeness row, and only that row
+    monkeypatch.setattr(hoisearch.cli, "coherence_completeness_defect", lambda model: 1e-3)
     for argv, n_cells in ((["--n-max", "3"], 6), (["--n", "5", "--h", "3"], 1)):
-        code, out, _ = run_cli(capsys, "verify", *argv, "--corrupt")
+        code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 1, argv
-        rows = [
-            line for line in out.splitlines()
-            if " completeness " in line or " orthogonality " in line
-        ]
-        assert len(rows) == 2 * n_cells, argv
-        for row in rows:
-            assert "  FAIL  " in row, row
+        failed = [line for line in out.splitlines() if "  FAIL  " in line]
+        assert len(failed) == n_cells, argv
+        for row in failed:
+            assert " completeness " in row and row.endswith("  FAIL  defect 1.00e-03"), row
+        assert out.endswith("verify: CHECKS FAILED\n")
+
+
+def test_verify_has_no_corrupt_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n-max", "2", "--corrupt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
 
 def test_verify_single_cell(capsys):

@@ -160,6 +160,15 @@ def test_basis_index_selects_the_unit_basis_states(model):
     assert np.array_equal(basis_vectors(model), expected)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_members_table_lists_the_slits_of_each_block(model):
+    space = model.space
+    expected = [[i in sector for i in range(model.n_slits)] for sector in space.sectors]
+    assert space.members.dtype == bool
+    assert not space.members.flags.writeable
+    assert np.array_equal(space.members, np.array(expected))
+
+
 def test_model_holds_no_dense_basis():
     # N dense (M,) basis vectors would be 8 MB at N = 1024; the model keeps
     # the layout and one (M,) state

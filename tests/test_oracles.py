@@ -32,6 +32,28 @@ def test_oracle_rejects_out_of_range_items():
         sign_flip_oracle(classical_model(3), 3)
 
 
+@pytest.mark.parametrize(
+    "items, bad", [([0, 3, 1], 3), ((1, -1), -1), (np.array([2, 5, -2]), 5)]
+)
+def test_batched_oracle_rejects_any_out_of_range_item(items, bad):
+    # the first item out of range is named, with the single-item message
+    with pytest.raises(ValueError, match=rf"^marked item {bad} out of range 0\.\.2$"):
+        sign_flip_oracle(quantum_model(3), items)
+
+
+@pytest.mark.parametrize("items", [1.0, [0, 2.5], [True, False], True, []])
+def test_oracle_rejects_items_that_are_not_integers(items):
+    with pytest.raises(ValueError, match="marked items must be integers"):
+        sign_flip_oracle(quantum_model(3), items)
+
+
+@pytest.mark.parametrize("bad", [3, 7, -1])
+def test_verify_oracle_rejects_out_of_range_items(bad):
+    # the identity fixes everything, so an unchecked item would pass
+    with pytest.raises(ValueError, match=rf"^marked item {bad} out of range 0\.\.2$"):
+        verify_oracle(quantum_model(3), np.eye(9), bad)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_quantum_oracle_equals_phase_conjugation(n):
     # brute-force route: conjugation by the diagonal phase unitary that flags
@@ -73,6 +95,16 @@ def test_oracle_is_an_orthogonal_involution(model):
         # a diagonal map is orthogonal iff every entry squares to 1
         assert float(np.max(np.abs(oracle**2 - 1.0))) == 0.0
         assert np.array_equal(oracle * oracle, np.ones(model.space.total_dim))
+
+
+@pytest.mark.parametrize(
+    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 3), WIDE], ids=IDS
+)
+def test_batched_oracle_stacks_the_single_item_oracles(model):
+    for items in ([3, 0, 0, 2, 1], (2,), np.arange(model.n_slits)):
+        batched = sign_flip_oracle(model, items)
+        assert batched.shape == (len(items), model.space.total_dim)
+        assert np.array_equal(batched, np.stack([sign_flip_oracle(model, x) for x in items]))
 
 
 @pytest.mark.parametrize(
