@@ -18,7 +18,6 @@ from types import ModuleType as _ModuleType
 from ._version import __version__
 from .subsets import (
     EnumerationLimitError,
-    SignedSubsetCombination,
     SlitSet,
     coherence_expansion,
     decomposition_coefficient,

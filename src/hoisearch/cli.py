@@ -6,14 +6,14 @@ output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
 1 a checked bound or identity failed, or a numeric check failed during a run
 (a schedule step that does not preserve the trajectories' inner products),
-2 usage error, including a size past the exact-enumeration guards or the
-dense-run size guard (`search.MAX_DENSE_ENTRIES`).
+2 usage error, including a size past the exact-enumeration guards, the
+dense-run size guard (`search.MAX_DENSE_ENTRIES`) or verify's work guard
+(`MAX_VERIFY_TERMS`, `MAX_VERIFY_DIM`), and a seed set for `search` or `sweep`.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from typing import Sequence
@@ -25,11 +25,10 @@ from .models import (
     Model,
     NumericError,
     build_model,
-    classical_model,
+    default_dims_per_size,
     interference_order,
-    quantum_model,
+    model_order,
     sign_flip_oracle,
-    synthetic_model,
     verify_oracle,
     coherence_completeness_defect,
     coherence_orthogonality_defects,
@@ -47,7 +46,6 @@ from .search import (
 from .subsets import (
     MAX_UNIVERSE,
     EnumerationLimitError,
-    SignedSubsetCombination,
     SlitSet,
     coherence_expansion,
     enumerate_sectors,
@@ -104,6 +102,13 @@ def _single_n(values: list[int], command: str) -> int:
     return values[0]
 
 
+def _single_seed(text: str, command: str) -> int:
+    seeds = _parse_seeds(text)
+    if len(seeds) != 1:
+        raise UsageError(f"`{command}` runs a single seed, got --seeds {text} = {seeds}; use `bound`")
+    return seeds[0]
+
+
 def _config_dict(args: argparse.Namespace) -> dict:
     # the destination path is not part of the experiment: identical runs
     # written to different files must stay byte-identical
@@ -134,26 +139,47 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
+# Work guard of `verify`, counted from the flags before anything is
+# enumerated (Python 3.11.7, numpy 2.4.6, one BLAS thread, x86-64). An exact
+# (N, h) cell sums the expansions of the C(N, t) sectors of each size
+# t <= h, 2^t terms apiece, at about 5 us a term: the cells of `--n-max 12`
+# (3.85e6 terms) took 16-22 s and those of `--n-max 13` (1.24e7) 62 s. A
+# model cell of M coordinates holds (M, M) oracle matrices and an (S, M)
+# block family: a verify process peaked at 150-156 MiB at M = 1940-2047
+# (`--n 15 --h 4`, `--n 11 --h 11`) and at 539-541 MiB at M = 4047
+# (`--n 18 --h 4`).
+MAX_VERIFY_TERMS = 2**22
+MAX_VERIFY_DIM = 2**11
+
+
+def _check_verify_work(cells: list[tuple[int, int]], specs: list[tuple[str, int, int]]) -> None:
+    """Refuse a run whose exact (N, h) cells or largest model (kind, N, h)
+    pass the work guard. Every spec must already be valid."""
+    terms = sum(math.comb(n, t) << t for n, h in cells for t in range(1, h + 1))
+    if terms > MAX_VERIFY_TERMS:
+        raise UsageError(f"the exact cells sum {terms} expansion terms, past the guard {MAX_VERIFY_TERMS}")
+    dim = max(
+        sum(d * math.comb(n, t) for t, d in default_dims_per_size(kind, h).items())
+        for kind, n, h in specs
+    )
+    if dim > MAX_VERIFY_DIM:
+        raise UsageError(f"the largest model cell has M = {dim} coordinates, past the guard {MAX_VERIFY_DIM}")
+
+
 def _verify_exact_cell(n: int, h: int) -> tuple[bool, str]:
-    acc: dict[SlitSet, int] = {}
+    total: dict[SlitSet, int] = {}
     for sector in enumerate_sectors(n, h):
         for sub, coeff in coherence_expansion(sector).items():
-            acc[sub] = acc.get(sub, 0) + coeff
-    total = SignedSubsetCombination(acc)
-    expected = SignedSubsetCombination(identity_decomposition(h, n))
-    ok = total == expected
+            total[sub] = total.get(sub, 0) + coeff
+    # at h = n every proper subset cancels, so only the nonzero terms compare
+    ok = {sub: c for sub, c in total.items() if c} == identity_decomposition(h, n)
     return ok, "formal expansion == identity decomposition" if ok else "expansion mismatch"
 
 
 def _verify_pairing_cell(universe: int) -> tuple[bool, str]:
-    slits = range(universe)
     mismatches = 0
     checked = 0
-    subsets = [
-        SlitSet(combo, universe)
-        for size in range(universe + 1)
-        for combo in itertools.combinations(slits, size)
-    ]
+    subsets = [SlitSet((), universe), *enumerate_sectors(universe, universe)]
     for left in subsets:
         for right in subsets:
             counts = signed_pairing_counts(left, right)
@@ -217,21 +243,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = _single_n(_parse_int_list(args.n), "verify --n")
         _check_universe_flag("--n", n)
         h = args.h if args.h is not None else min(n, 3)
-        model = build_model("synthetic", n, h)
+        model_order("synthetic", n, h)
+        specs = [("synthetic", n, h)]
+        _check_verify_work([(n, h)], specs)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
-        rows.extend(_verify_model_cell(model, f"synthetic N={n} h={h}", tol))
     else:
+        if args.h is not None:
+            raise UsageError("--h sets the order of the single --n cell; the --n-max grid takes none")
         n_max = args.n_max
         if n_max < 1:
             raise UsageError(f"--n-max must be >= 1, got {n_max}")
         _check_universe_flag("--n-max", n_max)
+        cells = [(n, h) for n in range(1, n_max + 1) for h in range(1, n + 1)]
+        specs = [
+            (kind, n, h)
+            for n in range(1, n_max + 1)
+            for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 3), ("synthetic", 4))
+            if h <= n
+        ]
+        _check_verify_work(cells, specs)
         exact_ok = True
-        for n in range(1, n_max + 1):
-            for h in range(1, n + 1):
-                ok, msg = _verify_exact_cell(n, h)
-                if not ok:
-                    exact_ok = False
-                    rows.append((f"exact identities N={n} h={h}", ok, msg))
+        for n, h in cells:
+            ok, msg = _verify_exact_cell(n, h)
+            if not ok:
+                exact_ok = False
+                rows.append((f"exact identities N={n} h={h}", ok, msg))
         rows.append(
             (
                 "exact identities N<=%d" % n_max,
@@ -242,15 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pair_universe = min(n_max, 5)
         ok, msg = _verify_pairing_cell(pair_universe)
         rows.append((f"pairing counts universe<={pair_universe}", ok, msg))
-        for n in range(1, n_max + 1):
-            rows.extend(_verify_model_cell(classical_model(n), f"classical N={n}", tol))
-            if n >= 2:
-                rows.extend(_verify_model_cell(quantum_model(n), f"quantum N={n}", tol))
-            for h in (3, 4):
-                if h <= n:
-                    rows.extend(
-                        _verify_model_cell(synthetic_model(n, h), f"synthetic N={n} h={h}", tol)
-                    )
+    for kind, n, h in specs:
+        label = f"{kind} N={n} h={h}" if kind == "synthetic" else f"{kind} N={n}"
+        rows.extend(_verify_model_cell(build_model(kind, n, h), label, tol))
 
     width = max(len(r[0]) for r in rows)
     all_ok = True
@@ -268,10 +298,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     n = _single_n(_parse_int_list(args.n), "search")
-    seeds = _parse_seeds(args.seeds)
+    seed = _single_seed(args.seeds, "search")
     report = run_experiment(
         args.model, n, args.strategy,
-        order=_order(args), seed=seeds[0], k_max=args.k_max, tol=args.tol,
+        order=_order(args), seed=seed, k_max=args.k_max, tol=args.tol,
     )
     k_max = int(report.k[-1])
 
@@ -338,13 +368,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ns = _parse_int_list(args.n)
     if not ns:
         raise UsageError("sweep needs at least one N in --n")
-    seeds = _parse_seeds(args.seeds)
+    seed = _single_seed(args.seeds, "sweep")
     result = scaling_sweep(
         args.model,
         ns,
         args.strategy,
         order=_order(args),
-        seed=seeds[0],
+        seed=seed,
         k_max=args.k_max,
         tol=args.tol,
     )
@@ -401,7 +431,7 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
     parser.add_argument(
         "--seeds",
         default="1",
-        help="seed count (e.g. 20 -> seeds 0..19) or explicit comma list",
+        help="seed count (e.g. 20 -> seeds 0..19) or comma list; one seed for search and sweep",
     )
     parser.add_argument("--k-max", type=int, default=None, help="step budget (default ceil(4 sqrt N))")
     parser.add_argument(

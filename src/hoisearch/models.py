@@ -34,8 +34,8 @@ import numpy as np
 from .subsets import (
     EnumerationLimitError,
     SlitSet,
-    decomposition_coefficient,
     enumerate_sectors,
+    identity_decomposition,
 )
 
 __all__ = [
@@ -610,10 +610,7 @@ def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
     n = space.n_slits
     for candidate in range(1, n + 1):
         diag = np.zeros(space.total_dim)
-        for subset in enumerate_sectors(n, candidate):
-            coeff = decomposition_coefficient(candidate, len(subset), n)
-            if coeff == 0:
-                continue
+        for subset, coeff in identity_decomposition(candidate, n).items():
             diag += coeff * slit_projector(model, subset)
         if float(np.max(np.abs(diag - 1.0))) < tol:
             return candidate

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = [
     "EnumerationLimitError",
     "SlitSet",
-    "SignedSubsetCombination",
     "enumerate_sectors",
     "decomposition_coefficient",
     "identity_decomposition",
@@ -74,11 +73,6 @@ class SlitSet:
         inner = ",".join(str(m) for m in self.members)
         return f"{{{inner}}}/{self.universe}"
 
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical ordering key: size first, then lexicographic."""
-        return (len(self.members), self.members)
-
     @functools.cached_property
     def mask(self) -> int:
         """Bitmask form, used by the exhaustive pairing enumeration."""
@@ -106,66 +100,6 @@ class SlitSet:
             )
 
 
-@dataclass(frozen=True)
-class SignedSubsetCombination:
-    """A formal integer combination of slit subsets.
-
-    Zero coefficients are dropped, as is any empty-set term (the projector
-    with every slit blocked annihilates all states, so the empty set never
-    contributes to a formal expansion).
-    """
-
-    terms: Mapping[SlitSet, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        cleaned = {
-            s: int(c)
-            for s, c in dict(self.terms).items()
-            if int(c) != 0 and len(s) > 0
-        }
-        object.__setattr__(self, "terms", cleaned)
-
-    def coefficient(self, subset: SlitSet) -> int:
-        return self.terms.get(subset, 0)
-
-    def items(self):
-        return self.terms.items()
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedSubsetCombination):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "SignedSubsetCombination") -> "SignedSubsetCombination":
-        acc = dict(self.terms)
-        for s, c in other.terms.items():
-            acc[s] = acc.get(s, 0) + c
-        return SignedSubsetCombination(acc)
-
-    def __sub__(self, other: "SignedSubsetCombination") -> "SignedSubsetCombination":
-        return self + (-1) * other
-
-    def __mul__(self, scalar: int) -> "SignedSubsetCombination":
-        return SignedSubsetCombination({s: scalar * c for s, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SignedSubsetCombination(0)"
-        parts = [
-            f"{c:+d}*{s!r}"
-            for s, c in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
-        ]
-        return "SignedSubsetCombination(" + " ".join(parts) + ")"
-
-
 def enumerate_sectors(n_slits: int, order: int) -> list[SlitSet]:
     """All nonempty subsets of ``{0..n_slits-1}`` up to the given size.
 
@@ -176,11 +110,7 @@ def enumerate_sectors(n_slits: int, order: int) -> list[SlitSet]:
         raise ValueError(f"need at least one slit, got {n_slits}")
     if not 1 <= order <= n_slits:
         raise ValueError(f"order must satisfy 1 <= order <= {n_slits}, got {order}")
-    out: list[SlitSet] = []
-    for size in range(1, order + 1):
-        for combo in itertools.combinations(range(n_slits), size):
-            out.append(SlitSet(combo, n_slits))
-    return out
+    return list(SlitSet(tuple(range(n_slits)), n_slits).subsets(max_size=order))
 
 
 def decomposition_coefficient(order: int, subset_size: int, n_slits: int) -> int:
@@ -209,25 +139,23 @@ def decomposition_coefficient(order: int, subset_size: int, n_slits: int) -> int
 def identity_decomposition(order: int, n_slits: int) -> dict[SlitSet, int]:
     """Identity expanded over slit projectors, as subset -> coefficient.
 
-    Covers every nonempty subset of size up to `order`; zero coefficients are
-    omitted. In canonical sector order.
+    Covers every nonempty subset of size up to `order`, in canonical sector
+    order, with one `decomposition_coefficient` per size; zero coefficients
+    are omitted. They are exactly the proper subsets when ``order ==
+    n_slits``, so there the full set is the whole expansion and nothing is
+    enumerated.
     """
-    if n_slits < 1:
-        raise ValueError(f"need at least one slit, got {n_slits}")
-    if not 1 <= order <= n_slits:
-        raise ValueError(f"order must satisfy 1 <= order <= {n_slits}, got {order}")
-    out: dict[SlitSet, int] = {}
-    for size in range(1, order + 1):
-        coeff = decomposition_coefficient(order, size, n_slits)
-        if coeff == 0:
-            continue
-        for combo in itertools.combinations(range(n_slits), size):
-            out[SlitSet(combo, n_slits)] = coeff
-    return out
+    by_size = [0] + [decomposition_coefficient(order, size, n_slits) for size in range(1, order + 1)]
+    if order == n_slits:
+        sectors = [SlitSet(tuple(range(n_slits)), n_slits)]
+    else:
+        sectors = enumerate_sectors(n_slits, order)
+    return {s: by_size[len(s)] for s in sectors if by_size[len(s)]}
 
 
-def coherence_expansion(subset: SlitSet) -> SignedSubsetCombination:
-    """Coherence block of a subset as a signed combination of slit projectors.
+def coherence_expansion(subset: SlitSet) -> dict[SlitSet, int]:
+    """Coherence block of a subset as a signed combination of slit projectors,
+    as subset -> coefficient.
 
     Inclusion-exclusion over the nonempty subsets: the coefficient of each
     sub-subset is ``(-1)**(|subset| - |sub|)``. The empty-set term vanishes
@@ -237,11 +165,7 @@ def coherence_expansion(subset: SlitSet) -> SignedSubsetCombination:
     if len(subset) == 0:
         raise ValueError("coherence expansion requires a nonempty subset")
     size = len(subset)
-    terms = {
-        sub: (-1 if (size - len(sub)) % 2 else 1)
-        for sub in subset.subsets(include_empty=False)
-    }
-    return SignedSubsetCombination(terms)
+    return {sub: (-1 if (size - len(sub)) % 2 else 1) for sub in subset.subsets()}
 
 
 def signed_pairing_counts(left: SlitSet, right: SlitSet) -> dict[int, int]:

@@ -11,12 +11,18 @@ quantity by a second, literal route:
   of a quantum map, one coordinate at a time, and `conjugate_rows` is their
   batch form;
 * `coherence_from_slit_projectors` builds a coherence block from its
-  inclusion-exclusion expansion over slit projectors.
+  inclusion-exclusion expansion over slit projectors, and `formal_sum` adds
+  such subset -> coefficient expansions term by term;
+* `exact_reflection_fields` and `exact_grover_fields` compute the fields of
+  the two closed-form reports in exact rational arithmetic, from Chebyshev
+  recurrences in the rational cosine of the rotation angle.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from fractions import Fraction
+from math import comb
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -88,6 +94,15 @@ def reflection_schedule(model: Model) -> Schedule:
     return Schedule("reflect", lambda _k, rows: np.outer((2.0 / sq) * (rows @ axis), axis) - rows)
 
 
+def formal_sum(expansions: Iterable[Mapping[SlitSet, int]]) -> dict[SlitSet, int]:
+    """Sum subset -> coefficient expansions, dropping the terms that cancel."""
+    total: dict[SlitSet, int] = {}
+    for expansion in expansions:
+        for subset, coeff in expansion.items():
+            total[subset] = total.get(subset, 0) + coeff
+    return {subset: coeff for subset, coeff in total.items() if coeff}
+
+
 def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
     """Instantiate a coherence block from its formal slit-projector expansion.
 
@@ -100,3 +115,59 @@ def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
     for subset, coeff in expansion.items():
         diag += coeff * slit_projector(model, subset)
     return diag
+
+
+def _chebyshev(c: Fraction, first: Fraction, count: int) -> list[Fraction]:
+    """``P_0 .. P_{count-1}`` of ``P_0 = 1``, ``P_1 = first``,
+    ``P_{k+1} = 2 c P_k - P_{k-1}``: the first kind T for ``first = c``, the
+    third kind V for ``first = 2 c - 1``."""
+    seq = [Fraction(1), first]
+    while len(seq) < count:
+        seq.append(2 * c * seq[-1] - seq[-2])
+    return seq[:count]
+
+
+def exact_reflection_fields(kind: str, n: int, order: int, k_max: int) -> dict[str, list[Fraction]]:
+    """The fields of a ``reflect`` report, exactly.
+
+    The uniform state's squared norm on one sector of size t is ``w_1 = 1/N^2``,
+    and ``w_2 = 2/N^2`` on the quantum pairs, or the leftover ``1 - 1/N``
+    spread evenly over the synthetic higher sectors. With ``sigma`` the
+    squared norm and ``beta`` the weight on the blocks one oracle flips, the
+    step turns by ``2 phi`` with ``c = cos 2 phi = 1 - 2 beta / sigma``:
+    success ``V_k(c) / N``, ``D_k = 2 N sigma (1 - T_k(c))``,
+    ``E_k = N (sigma + 1 - 2 success_k)`` and ``F_k = N (sigma + 1 - 2 / N)``.
+    """
+    weights = {1: Fraction(1, n * n)}
+    if kind == "quantum":
+        weights[2] = Fraction(2, n * n)
+    elif kind == "synthetic" and order > 1:
+        higher = sum(comb(n, t) for t in range(2, order + 1))
+        weights.update({t: (1 - Fraction(1, n)) / higher for t in range(2, order + 1)})
+    sigma = sum(comb(n, t) * w for t, w in weights.items())
+    beta = sum(comb(n - 1, t - 1) * w for t, w in weights.items() if t > 1)
+    c = 1 - 2 * beta / sigma
+    success = [v / n for v in _chebyshev(c, 2 * c - 1, k_max + 1)]
+    return {
+        "success": success,
+        "divergence": [2 * n * sigma * (1 - t) for t in _chebyshev(c, c, k_max + 1)],
+        "gap_with_oracle": [n * (sigma + 1 - 2 * p) for p in success],
+        "gap_without_oracle": [n * (sigma + 1 - Fraction(2, n))] * (k_max + 1),
+    }
+
+
+def exact_grover_fields(n: int, k_max: int) -> dict[str, list[Fraction]]:
+    """The fields of a quantum ``grover`` report, exactly.
+
+    With ``sin^2 t = 1/N`` and ``c = cos 2t = 1 - 2/N``: success
+    ``(1 - T_{2k+1}(c)) / 2``, ``D_k = N (1 - T_{2k}(c))``,
+    ``E_k = N (1 + T_{2k+1}(c))`` and ``F_k = 2 (N - 1)``.
+    """
+    c = 1 - Fraction(2, n)
+    t = _chebyshev(c, c, 2 * k_max + 2)
+    return {
+        "success": [(1 - t[2 * k + 1]) / 2 for k in range(k_max + 1)],
+        "divergence": [n * (1 - t[2 * k]) for k in range(k_max + 1)],
+        "gap_with_oracle": [n * (1 + t[2 * k + 1]) for k in range(k_max + 1)],
+        "gap_without_oracle": [Fraction(2 * (n - 1))] * (k_max + 1),
+    }

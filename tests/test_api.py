@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "ProgressReport",
     "Schedule",
     "SectorSpace",
-    "SignedSubsetCombination",
     "SlitSet",
     "SweepResult",
     "UpperBoundCheck",
@@ -68,6 +67,7 @@ REMOVED_NAMES = [
     "lift_superoperator",
     "lift_unitary_conjugation",
     "coherence_from_slit_projectors",
+    "SignedSubsetCombination",
 ]
 
 

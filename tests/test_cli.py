@@ -69,6 +69,48 @@ def test_verify_rejects_sizes_past_the_exact_guard(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n-max", "20"), "expansion terms, past the guard 4194304"),
+        (("--n-max", "30"), "expansion terms, past the guard 4194304"),
+        (("--n", "24", "--h", "4"), "M = 12950 coordinates, past the guard 2048"),
+        (("--n", "30", "--h", "10"), "expansion terms, past the guard 4194304"),
+        # one step past the largest admitted runs
+        (("--n-max", "13"), "sum 12355898 expansion terms, past the guard 4194304"),
+        (("--n", "16", "--h", "4"), "M = 2516 coordinates, past the guard 2048"),
+        (("--n", "12", "--h", "12"), "M = 4095 coordinates, past the guard 2048"),
+    ],
+    ids=["n-max-20", "n-max-30", "n24-h4", "n30-h10", "n-max-13", "n16-h4", "n12-h12"],
+)
+def test_verify_past_the_work_guard_is_refused_at_once(capsys, argv, message):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+class _GuardPassed(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--n-max", "12"), ("--n", "15", "--h", "4"), ("--n", "11", "--h", "11")],
+    ids=["n-max-12", "n15-h4", "n11-h11"],
+)
+def test_largest_verify_runs_pass_the_work_guard(monkeypatch, argv):
+    # the first exact cell comes right after the guard: stop there
+    def stop(n, h):
+        raise _GuardPassed
+
+    monkeypatch.setattr(hoisearch.cli, "_verify_exact_cell", stop)
+    with pytest.raises(_GuardPassed):
+        main(["verify", *argv])
+
+
 def test_enumeration_limit_is_a_usage_error(capsys, monkeypatch):
     def refuse(*_args):
         raise EnumerationLimitError("past the guard")
@@ -129,7 +171,7 @@ def test_search_quantum_four_items(capsys, tmp_path):
 
 def test_search_output_is_byte_identical_across_runs(capsys, tmp_path):
     args = ["search", "--model", "synthetic", "--n", "6", "--h", "3",
-            "--strategy", "random", "--seeds", "3"]
+            "--strategy", "random", "--seeds", "0,"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
@@ -319,6 +361,39 @@ def test_empty_seed_list_is_a_usage_error(capsys, command, seeds):
     )
     assert code == 2
     assert "--seeds needs at least one seed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "sweep"])
+@pytest.mark.parametrize("seeds", ["5", "0,1", "2,3,"], ids=["count", "list", "list-comma"])
+def test_search_and_sweep_refuse_more_than_one_seed(capsys, command, seeds):
+    code, out, err = run_cli(
+        capsys, command, "--model", "quantum", "--n", "8", "--strategy", "random",
+        "--seeds", seeds,
+    )
+    assert code == 2
+    assert f"`{command}` runs a single seed, got --seeds {seeds} = " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("seeds, seed", [("1", 0), ("0,", 0), ("3,", 3)])
+def test_search_runs_the_one_seed_it_is_given(capsys, tmp_path, seeds, seed):
+    out_file = tmp_path / "run.csv"
+    code, _, _ = run_cli(
+        capsys, "search", "--model", "quantum", "--n", "4", "--strategy", "random",
+        "--seeds", seeds, "--k-max", "2", "--out", str(out_file),
+    )
+    assert code == 0
+    lines = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert {row["seed"] for row in rows} == {str(seed)}
+
+
+@pytest.mark.parametrize("argv", [(), ("--n-max", "4")], ids=["default-grid", "n-max"])
+def test_verify_order_without_a_single_n_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--h", "3")
+    assert code == 2
+    assert "--h sets the order of the single --n cell" in err
     assert out == ""
 
 
