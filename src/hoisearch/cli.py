@@ -25,8 +25,8 @@ from .models import (
     Model,
     NumericError,
     build_model,
-    default_dims_per_size,
     interference_order,
+    layout_dim,
     model_order,
     sign_flip_oracle,
     verify_oracle,
@@ -146,8 +146,8 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # (3.85e6 terms) took 16-22 s and those of `--n-max 13` (1.24e7) 62 s. A
 # model cell of M coordinates holds (M, M) oracle matrices and an (S, M)
 # block family: a verify process peaked at 150-156 MiB at M = 1940-2047
-# (`--n 15 --h 4`, `--n 11 --h 11`) and at 539-541 MiB at M = 4047
-# (`--n 18 --h 4`).
+# (`--n 15 --h 4` in 0.8-1.2 s; `--n 11 --h 11`, the largest high-order cell
+# admitted, in 1.5-2.2 s) and at 539-541 MiB at M = 4047 (`--n 18 --h 4`).
 MAX_VERIFY_TERMS = 2**22
 MAX_VERIFY_DIM = 2**11
 
@@ -158,10 +158,7 @@ def _check_verify_work(cells: list[tuple[int, int]], specs: list[tuple[str, int,
     terms = sum(math.comb(n, t) << t for n, h in cells for t in range(1, h + 1))
     if terms > MAX_VERIFY_TERMS:
         raise UsageError(f"the exact cells sum {terms} expansion terms, past the guard {MAX_VERIFY_TERMS}")
-    dim = max(
-        sum(d * math.comb(n, t) for t, d in default_dims_per_size(kind, h).items())
-        for kind, n, h in specs
-    )
+    dim = max(layout_dim(kind, n, h) for kind, n, h in specs)
     if dim > MAX_VERIFY_DIM:
         raise UsageError(f"the largest model cell has M = {dim} coordinates, past the guard {MAX_VERIFY_DIM}")
 
@@ -404,7 +401,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
         choices=["classical", "quantum", "synthetic"],
@@ -412,9 +409,7 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool) -> None:
         help="model family",
     )
     parser.add_argument(
-        "--n",
-        required=needs_n,
-        help="number of list items / slits (comma list for sweep)",
+        "--n", required=True, help="number of list items / slits (comma list for sweep)"
     )
     parser.add_argument(
         "--h",
@@ -465,36 +460,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact subset identities and numeric projector/oracle checks",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p_verify.add_argument("--n-max", type=int, default=6, help="grid upper bound for N")
-    p_verify.add_argument("--n", default=None, help="verify a single N instead of the grid")
+    cells = p_verify.add_mutually_exclusive_group()
+    cells.add_argument("--n-max", type=int, default=6, help="grid upper bound for N")
+    cells.add_argument("--n", default=None, help="verify a single N instead of the grid")
     p_verify.add_argument("--h", type=int, default=None, help="order for the single-N cell")
     p_verify.add_argument("--tol", type=tolerance, default=1e-9, help="numeric tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_search = sub.add_parser(
-        "search",
-        help="run one search experiment and report per-query success",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_common(p_search, needs_n=True)
-    p_search.set_defaults(func=cmd_search)
-
-    p_bound = sub.add_parser(
-        "bound",
-        help="check the progress-measure bounds over a seed set",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_common(p_bound, needs_n=True)
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="query counts against list size, with the scaling floor",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_common(p_sweep, needs_n=True)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    for name, func, text in (
+        ("search", cmd_search, "run one search experiment and report per-query success"),
+        ("bound", cmd_bound, "check the progress-measure bounds over a seed set"),
+        ("sweep", cmd_sweep, "query counts against list size, with the scaling floor"),
+    ):
+        p_run = sub.add_parser(
+            name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        _add_common(p_run)
+        p_run.set_defaults(func=func)
     return parser
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "build_model",
     "model_order",
     "default_dims_per_size",
+    "layout_dim",
     "descriptor_from_spec",
     "uniform_block_weights",
     "coherence_projector",
@@ -105,8 +106,8 @@ class SectorSpace:
     @functools.cached_property
     def members(self) -> np.ndarray:
         """``(S, N)`` bool: ``members[b, i]`` is whether block b involves slit
-        i. The oracles, `oracle_displacement` and the quantum embedding read
-        the blocks' slits from this table alone."""
+        i. The oracles, the slit projectors, `oracle_displacement` and the
+        quantum embedding read the blocks' slits from this table alone."""
         blocks, slits = zip(*((b, i) for b, s in enumerate(self.sectors) for i in s.members))
         table = np.zeros((len(self.sectors), self.n_slits), dtype=bool)
         table[blocks, slits] = True
@@ -338,6 +339,19 @@ def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
     return {size: 1 for size in range(1, order + 1)}
 
 
+def layout_dim(
+    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
+) -> int:
+    """Coordinates M of a layout, ``sum_t d_t C(N, t)`` over the sector sizes
+    t <= h, counted from the spec without enumerating a sector.
+
+    ``dims_per_size`` defaults to the family's standard layout.
+    """
+    if dims_per_size is None:
+        dims_per_size = default_dims_per_size(kind, order)
+    return sum(dims_per_size[size] * comb(n_slits, size) for size in range(1, order + 1))
+
+
 def uniform_block_weights(
     kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
 ) -> dict[int, float]:
@@ -360,7 +374,7 @@ def uniform_block_weights(
         weights[2] = 2.0 * start**2
     elif kind == "synthetic" and order > 1:
         dims = default_dims_per_size(kind, order) if dims_per_size is None else dims_per_size
-        n_higher = sum(dims[size] * comb(n_slits, size) for size in range(2, order + 1))
+        n_higher = layout_dim(kind, n_slits, order, dims) - n_slits * dims[1]
         if n_higher > sys.float_info.max:
             raise EnumerationLimitError(
                 f"synthetic N={n_slits} h={order} has more higher-sector coordinates "
@@ -403,8 +417,8 @@ def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
 def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
     """Projector implementing "block every slit outside this subset".
 
-    Sum of the coherence blocks of all nonempty subsets of the open slits
-    with size up to the model order. The empty subset gives the zero map.
+    Sum of the coherence blocks that involve no closed slit, read from
+    `SectorSpace.members`. The empty subset gives the zero map.
     """
     space = model.space
     if open_slits.universe != space.n_slits:
@@ -412,10 +426,10 @@ def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
             f"subset universe {open_slits.universe} does not match the "
             f"model's {space.n_slits} slits"
         )
-    diag = np.zeros(space.total_dim)
-    for sub in open_slits.subsets(max_size=space.order):
-        diag[space.sector_slice(sub)] = 1.0
-    return diag
+    is_open = np.zeros(space.n_slits, dtype=bool)
+    is_open[list(open_slits.members)] = True
+    inside = ~space.members[:, ~is_open].any(axis=1)
+    return inside[space.owner].astype(float)
 
 
 def sign_flip_oracle(model: Model, marked: int | Sequence[int]) -> np.ndarray:

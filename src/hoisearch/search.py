@@ -40,9 +40,9 @@ from .models import (
     NumericError,
     _check_state,
     build_model,
-    default_dims_per_size,
     descriptor_from_spec,
     haar_orthogonal,
+    layout_dim,
     model_order,
     sign_flip_oracle,
     uniform_block_weights,
@@ -491,8 +491,7 @@ def run_experiment(
     if strategy == "grover" and kind != "quantum":
         raise ValueError("the grover strategy is defined on the quantum model only")
     if strategy == "random":
-        dims = default_dims_per_size(kind, order)
-        m_dim = sum(dim * math.comb(n_items, size) for size, dim in dims.items())
+        m_dim = layout_dim(kind, n_items, order)
         if (n_items + 1) * m_dim > MAX_DENSE_ENTRIES:
             raise EnumerationLimitError(
                 f"a dense random run on {kind} N={n_items} h={order} needs "
@@ -593,8 +592,10 @@ class SweepResult:
     rows: list[SweepRow]
 
     def exponent(self, statistic: str = "crossing") -> float | None:
-        """Log-log slope of the chosen query count against the list size;
-        None unless rows of at least two distinct N have a count >= 1."""
+        """Log-log slope of the ``"crossing"`` or ``"peak"`` query count against
+        the list size; None unless rows of at least two distinct N have a count >= 1."""
+        if statistic not in ("crossing", "peak"):
+            raise ValueError(f"unknown statistic {statistic!r}; expected 'crossing' or 'peak'")
         xs, ys = [], []
         for row in self.rows:
             value = row.k_star if statistic == "crossing" else row.k_peak

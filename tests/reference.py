@@ -10,9 +10,11 @@ quantity by a second, literal route:
 * `lift_superoperator` and `lift_unitary_conjugation` build the (M, M) matrix
   of a quantum map, one coordinate at a time, and `conjugate_rows` is their
   batch form;
-* `coherence_from_slit_projectors` builds a coherence block from its
-  inclusion-exclusion expansion over slit projectors, and `formal_sum` adds
-  such subset -> coefficient expansions term by term;
+* `slit_projector_from_subsets` builds a slit projector block by block over
+  the open set's subsets, `coherence_from_slit_projectors` builds a
+  coherence block from its inclusion-exclusion expansion over slit
+  projectors, and `formal_sum` adds such subset -> coefficient expansions
+  term by term;
 * `exact_reflection_fields` and `exact_grover_fields` compute the fields of
   the two closed-form reports in exact rational arithmetic, from Chebyshev
   recurrences in the rational cosine of the rotation angle.
@@ -101,6 +103,20 @@ def formal_sum(expansions: Iterable[Mapping[SlitSet, int]]) -> dict[SlitSet, int
         for subset, coeff in expansion.items():
             total[subset] = total.get(subset, 0) + coeff
     return {subset: coeff for subset, coeff in total.items() if coeff}
+
+
+def slit_projector_from_subsets(model: Model, open_slits: SlitSet) -> np.ndarray:
+    """A slit projector as the sum of the coherence blocks of every nonempty
+    subset of the open slits up to the model order, one `sector_slice` each.
+
+    The literal route that `slit_projector`'s read of `SectorSpace.members`
+    must agree with.
+    """
+    space = model.space
+    diag = np.zeros(space.total_dim)
+    for sub in open_slits.subsets(max_size=space.order):
+        diag[space.sector_slice(sub)] = 1.0
+    return diag
 
 
 def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:

@@ -47,6 +47,21 @@ def test_verify_has_no_corrupt_flag(capsys):
     assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "4", "--n-max", "2"), ("--n-max", "2", "--n", "4")],
+    ids=["n-first", "n-max-first"],
+)
+def test_verify_single_n_and_grid_are_exclusive(capsys, argv):
+    # one cell or the grid: the second flag used to be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_single_cell(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "5", "--h", "3")
     assert code == 0

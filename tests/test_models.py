@@ -20,6 +20,7 @@ from hoisearch.models import (
     embed_density,
     haar_orthogonal,
     interference_order,
+    layout_dim,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
@@ -41,6 +42,7 @@ from reference import (
     lift_superoperator,
     lift_unitary_conjugation,
     reflection_schedule,
+    slit_projector_from_subsets,
 )
 
 
@@ -255,6 +257,16 @@ def test_synthetic_model_full_order_has_full_sector_weight():
     assert full[0] > 0
 
 
+def test_layout_dim_counts_the_built_coordinates():
+    specs = [("classical", n, 1, None) for n in range(1, 10)]
+    specs += [("quantum", n, 2, None) for n in range(2, 10)]
+    specs += [("synthetic", n, h, None) for n in range(1, 10) for h in range(1, n + 1)]
+    specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1}), ("synthetic", 6, 2, {1: 3, 2: 5})]
+    for kind, n, h, dims in specs:
+        built = build_model(kind, n, h, dims).space.total_dim
+        assert layout_dim(kind, n, h, dims) == built, (kind, n, h, dims)
+
+
 def test_synthetic_model_order_one_is_classically_mixed():
     model = synthetic_model(4, 1)
     assert np.linalg.norm(model.uniform_state) == pytest.approx(0.5, abs=1e-12)
@@ -302,6 +314,22 @@ def test_slit_projector_laws(model):
             assert np.array_equal(p_left * p_right, p_meet), (left, right)
     full = slit_projector(model, s(range(n), n))
     assert np.array_equal(full, np.ones(model.space.total_dim))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_slit_projector_matches_the_sum_over_subsets(model):
+    n = model.n_slits
+    for open_slits in s(range(n), n).subsets(include_empty=True):
+        direct = slit_projector(model, open_slits)
+        assert np.array_equal(direct, slit_projector_from_subsets(model, open_slits)), open_slits
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_slit_projector_rejects_a_set_from_another_universe(model):
+    n = model.n_slits
+    for other in (s([0], n + 1), s([], n - 1)):
+        with pytest.raises(ValueError, match=f"does not match the model's {n} slits"):
+            slit_projector(model, other)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -480,10 +508,12 @@ def test_orthogonality_defect_with_a_nan_fails():
 
 
 def test_interference_order_detection():
-    assert interference_order(classical_model(6)) == 1
-    assert interference_order(quantum_model(5)) == 2
-    assert interference_order(synthetic_model(5, 3)) == 3
-    assert interference_order(synthetic_model(4, 4)) == 4
+    specs = [("classical", n, 1) for n in range(1, 8)]
+    specs += [("quantum", n, 2) for n in range(2, 8)]
+    specs += [("synthetic", n, h) for n in range(1, 8) for h in range(1, n + 1)]
+    for kind, n, h in specs:
+        assert interference_order(build_model(kind, n, h)) == h, (kind, n, h)
+    assert interference_order(synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})) == 3
 
 
 # ---------------------------------------------------------------------------

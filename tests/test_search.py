@@ -692,6 +692,13 @@ def test_sweep_exponent_needs_two_distinct_n():
     assert result.exponent("peak") is None
 
 
+def test_sweep_exponent_rejects_an_unknown_statistic():
+    result = scaling_sweep("quantum", [4, 16, 64], "grover")
+    for statistic in ("peaks", "k_star", ""):
+        with pytest.raises(ValueError, match="expected 'crossing' or 'peak'"):
+            result.exponent(statistic)
+
+
 def test_synthetic_sweep_records_without_asserting_success():
     result = scaling_sweep("synthetic", [4, 6], "reflect", order=3)
     assert len(result.rows) == 2
