@@ -6,9 +6,9 @@ output files embed the parsed configuration and the library version, and
 identical invocations produce byte-identical files. Exit codes: 0 success,
 1 a checked bound or identity failed, or a numeric check failed during a run
 (a schedule step that does not preserve the trajectories' inner products),
-2 usage error, including a size past the exact-enumeration guards, the
-dense-run size guard (`search.MAX_DENSE_ENTRIES`) or verify's work guard
-(`MAX_VERIFY_TERMS`, `MAX_VERIFY_DIM`), and a seed set for `search` or `sweep`.
+2 usage error, including a size past the exact-enumeration guards, the size
+guard of dense runs and of reports (`search.MAX_DENSE_ENTRIES`), verify's work
+guard (`MAX_VERIFY_TERMS`, `MAX_VERIFY_DIM`) and a seed set for search/sweep.
 """
 
 from __future__ import annotations

@@ -78,27 +78,42 @@ class NumericError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SectorSpace:
-    """Coordinate layout of a sector-decomposed state space."""
+    """Coordinate layout of a sector-decomposed state space, fixed by N, the
+    order h and the block dimension ``d_t`` of each sector size t <= h. The
+    sectors, each block's coordinates and M are derived from these, so none
+    can disagree with them; construction checks N, h and every ``d_t >= 1``."""
 
     n_slits: int
     order: int
-    sectors: tuple[SlitSet, ...]
-    offsets: Mapping[SlitSet, int]
     dims_per_size: Mapping[int, int]
-    total_dim: int
 
-    def sector_slice(self, sector: SlitSet) -> slice:
-        if sector not in self.offsets:
-            raise ValueError(f"unknown sector {sector!r} for this space")
-        start = self.offsets[sector]
-        return slice(start, start + self.dims_per_size[len(sector)])
+    def __post_init__(self) -> None:
+        self.sectors  # the one enumeration, cached; checks N and h
+        dims: dict[int, int] = {}
+        for size in range(1, self.order + 1):
+            if size not in self.dims_per_size:
+                raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
+            dims[size] = int(self.dims_per_size[size])
+            if dims[size] < 1:
+                raise ValueError(f"sector dimension for size {size} must be >= 1, got {dims[size]}")
+        object.__setattr__(self, "dims_per_size", dims)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[SlitSet, ...]:
+        """Every slit set of size at most h, in canonical order (`enumerate_sectors`)."""
+        return tuple(enumerate_sectors(self.n_slits, self.order))
+
+    @functools.cached_property
+    def total_dim(self) -> int:
+        """M, the number of coordinates."""
+        return self.owner.size
 
     @functools.cached_property
     def owner(self) -> np.ndarray:
         """Position in `sectors` of the block holding each coordinate, ``(M,)``.
 
         Every block-constant diagonal is an ``(S,)`` per-sector vector indexed
-        by it; the blocks are laid out in sector order (`build_sector_space`).
+        by it; the blocks are laid out in sector order, each `dims_per_size` wide.
         """
         widths = [self.dims_per_size[len(s)] for s in self.sectors]
         return np.repeat(np.arange(len(self.sectors)), widths)
@@ -187,36 +202,10 @@ class OracleCheck:
 # Space and model construction
 # ---------------------------------------------------------------------------
 
-def build_sector_space(
-    n_slits: int, order: int, dims_per_size: Mapping[int, int]
-) -> SectorSpace:
-    """Lay out one coordinate block per sector, in canonical order.
-
-    ``dims_per_size`` assigns a block dimension to every sector size from 1
-    to `order`; missing or non-positive entries are rejected.
-    """
-    sectors = tuple(enumerate_sectors(n_slits, order))
-    per_size: dict[int, int] = {}
-    for size in range(1, order + 1):
-        if size not in dims_per_size:
-            raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
-        dim = int(dims_per_size[size])
-        if dim < 1:
-            raise ValueError(f"sector dimension for size {size} must be >= 1, got {dim}")
-        per_size[size] = dim
-    offsets: dict[SlitSet, int] = {}
-    total = 0
-    for sector in sectors:
-        offsets[sector] = total
-        total += per_size[len(sector)]
-    return SectorSpace(
-        n_slits=n_slits,
-        order=order,
-        sectors=sectors,
-        offsets=offsets,
-        dims_per_size=per_size,
-        total_dim=total,
-    )
+def build_sector_space(n_slits: int, order: int, dims_per_size: Mapping[int, int]) -> SectorSpace:
+    """One coordinate block per sector, in canonical order; ``dims_per_size``
+    must give every sector size 1..`order` a dimension >= 1."""
+    return SectorSpace(n_slits, order, dims_per_size)
 
 
 def classical_model(n_slits: int) -> Model:
@@ -409,9 +398,9 @@ def descriptor_from_spec(
 def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
     """Orthogonal projector onto one coherence block: 1 on the block, 0 elsewhere."""
     space = model.space
-    diag = np.zeros(space.total_dim)
-    diag[space.sector_slice(sector)] = 1.0
-    return diag
+    if sector not in space.sectors:
+        raise ValueError(f"unknown sector {sector!r} for this space")
+    return (space.owner == space.sectors.index(sector)).astype(float)
 
 
 def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:

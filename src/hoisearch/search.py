@@ -454,7 +454,8 @@ def _symmetric_report(
 # quantum(127) at k_max = 1, one BLAS thread (Python 3.11.7, numpy 2.4.6,
 # x86-64): the run's arrays peak at 185.6 MB (tracemalloc) and a `bound`
 # process at 243-245 MiB (ru_maxrss, 29 MiB of it the interpreter and numpy
-# before the run); neither figure depends on k.
+# before the run); neither figure depends on k. The cap also bounds a report's
+# per-k arrays, k_max + 1 entries a field (times N in a random run's success).
 MAX_DENSE_ENTRIES = 2**21
 
 
@@ -479,7 +480,8 @@ def run_experiment(
     quantum ``grover`` run takes its exact closed form at every N and builds
     no model, so it has no step for ``tol`` to check; only ``random`` runs
     simulate the dense sector coordinates, and one past `MAX_DENSE_ENTRIES`
-    is refused with `EnumerationLimitError` before any sector is enumerated.
+    is refused with `EnumerationLimitError` before any sector is enumerated,
+    as is a report whose per-k arrays would pass it.
     """
     if strategy is None:
         strategy = default_strategy(kind)
@@ -500,6 +502,12 @@ def run_experiment(
             )
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    rows = n_items if strategy == "random" else 1  # a closed form's success is a broadcast view
+    if (k_max + 1) * rows > MAX_DENSE_ENTRIES:
+        raise EnumerationLimitError(
+            f"a report over k = 0..{k_max} with {rows} success entries per k "
+            f"needs {(k_max + 1) * rows} entries, past the guard of {MAX_DENSE_ENTRIES}"
+        )
 
     if strategy == "reflect":
         return reflection_report(kind, n_items, order, k_max)

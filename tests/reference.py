@@ -10,6 +10,8 @@ quantity by a second, literal route:
 * `lift_superoperator` and `lift_unitary_conjugation` build the (M, M) matrix
   of a quantum map, one coordinate at a time, and `conjugate_rows` is their
   batch form;
+* `block_offsets` lays the blocks out by cumulative widths in sector order,
+  a second route to `SectorSpace.owner`;
 * `slit_projector_from_subsets` builds a slit projector block by block over
   the open set's subsets, `coherence_from_slit_projectors` builds a
   coherence block from its inclusion-exclusion expansion over slit
@@ -28,7 +30,14 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from hoisearch.models import Model, _embed, _require_quantum, _unembed, slit_projector
+from hoisearch.models import (
+    Model,
+    SectorSpace,
+    _embed,
+    _require_quantum,
+    _unembed,
+    slit_projector,
+)
 from hoisearch.search import Schedule
 from hoisearch.subsets import SlitSet, coherence_expansion
 
@@ -105,17 +114,30 @@ def formal_sum(expansions: Iterable[Mapping[SlitSet, int]]) -> dict[SlitSet, int
     return {subset: coeff for subset, coeff in total.items() if coeff}
 
 
+def block_offsets(space: SectorSpace) -> dict[SlitSet, int]:
+    """First coordinate of each sector's block: the blocks' widths summed in
+    sector order. A block is ``dims_per_size[len(sector)]`` coordinates wide."""
+    offsets: dict[SlitSet, int] = {}
+    total = 0
+    for sector in space.sectors:
+        offsets[sector] = total
+        total += space.dims_per_size[len(sector)]
+    return offsets
+
+
 def slit_projector_from_subsets(model: Model, open_slits: SlitSet) -> np.ndarray:
     """A slit projector as the sum of the coherence blocks of every nonempty
-    subset of the open slits up to the model order, one `sector_slice` each.
+    subset of the open slits up to the model order, placed by `block_offsets`.
 
     The literal route that `slit_projector`'s read of `SectorSpace.members`
     must agree with.
     """
     space = model.space
+    offsets = block_offsets(space)
     diag = np.zeros(space.total_dim)
     for sub in open_slits.subsets(max_size=space.order):
-        diag[space.sector_slice(sub)] = 1.0
+        start = offsets[sub]
+        diag[start : start + space.dims_per_size[len(sub)]] = 1.0
     return diag
 
 

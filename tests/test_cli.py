@@ -346,6 +346,20 @@ def test_dense_run_past_the_size_guard_is_refused_at_once(capsys):
     assert out == ""
 
 
+def test_report_past_the_size_guard_is_a_usage_error(capsys):
+    # 10^11 + 1 entries per report field: refused before numpy is asked for
+    # 800 GB, with one error line and no traceback
+    code, out, err = run_cli(
+        capsys, "search", "--model", "quantum", "--n", "64", "--k-max", "100000000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: a report over k = 0..100000000000 with 1 success entries per k "
+        "needs 100000000001 entries, past the guard of 2097152\n"
+    )
+
+
 def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--model", "quantum", "--n", "4",

@@ -5,13 +5,16 @@ computations (Hilbert-Schmidt traces, explicit sandwiches); the projector
 algebra is checked as matrix identities, not assumed from the construction.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hoisearch import models
 from hoisearch.models import (
     DEFAULT_TOL,
+    SectorSpace,
     build_model,
     build_sector_space,
     classical_model,
@@ -35,9 +38,10 @@ from hoisearch.search import (
     random_schedule,
     run_search,
 )
-from hoisearch.subsets import SlitSet
+from hoisearch.subsets import SlitSet, enumerate_sectors
 
 from reference import (
+    block_offsets,
     coherence_from_slit_projectors,
     lift_superoperator,
     lift_unitary_conjugation,
@@ -73,10 +77,11 @@ def test_build_sector_space_dimensions():
 
 def test_build_sector_space_offsets_partition():
     space = build_sector_space(4, 2, {1: 1, 2: 3})
+    offsets = block_offsets(space)
     seen = np.zeros(space.total_dim, dtype=int)
     owner = np.empty(space.total_dim, dtype=int)
     for position, sector in enumerate(space.sectors):
-        sl = space.sector_slice(sector)
+        sl = slice(offsets[sector], offsets[sector] + space.dims_per_size[len(sector)])
         seen[sl] += 1
         owner[sl] = position
     assert np.all(seen == 1)
@@ -90,14 +95,48 @@ def test_build_sector_space_validation():
         build_sector_space(3, 2, {1: 1, 2: 0})
     with pytest.raises(ValueError):
         build_sector_space(3, 4, {1: 1, 2: 1, 3: 1, 4: 1})
+    # N and h are checked before the block dimensions
+    with pytest.raises(ValueError, match="order must satisfy 1 <= order <= 3, got 4"):
+        build_sector_space(3, 4, {1: 1})
+    with pytest.raises(ValueError, match="need at least one slit, got 0"):
+        build_sector_space(0, 1, {})
+
+
+def test_sector_space_stores_only_n_h_and_block_dims():
+    # everything else is derived, so a hand-built space is checked as a
+    # built one is and cannot carry a layout that disagrees with its sectors
+    assert [f.name for f in dataclasses.fields(SectorSpace)] == [
+        "n_slits", "order", "dims_per_size"
+    ]
+    space = SectorSpace(4, 3, {1: 2, 2: 3, 3: 1, 4: 9})
+    assert space.dims_per_size == {1: 2, 2: 3, 3: 1}
+    assert space.total_dim == 2 * 4 + 3 * 6 + 1 * 4
+    with pytest.raises(ValueError, match="missing an entry for sector size 2"):
+        SectorSpace(3, 2, {1: 1})
+
+
+@pytest.mark.parametrize("kind, n, h", [("classical", 4, 1), ("quantum", 4, 2), ("synthetic", 5, 3)])
+def test_a_model_build_enumerates_the_sectors_once(kind, n, h, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_sectors(*args)
+
+    monkeypatch.setattr(models, "enumerate_sectors", counted)
+    space = build_model(kind, n, h).space
+    # the derived tables all read the one enumeration
+    assert space.members.shape == (len(space.sectors), n)
+    assert space.total_dim == layout_dim(kind, n, h)
+    assert calls == [(n, h)]
 
 
 def test_state_vector_validation_and_views():
-    # a state is a plain (M,) array: a block is a slice of it, and every
-    # function taking a state checks its shape
+    # a state is a plain (M,) array: a block is the coordinates its coherence
+    # projector keeps, and every function taking a state checks its shape
     model = quantum_model(3)
     state = model.uniform_state
-    block = state[model.space.sector_slice(s([0, 1], 3))]
+    block = state[coherence_projector(model, s([0, 1], 3)) == 1.0]
     assert block.shape == (2,)
     for bad in (np.zeros(5), np.zeros((1, 9)), np.zeros(16)):
         with pytest.raises(ValueError, match="state has shape"):
@@ -155,8 +194,9 @@ def test_basis_index_selects_the_unit_basis_states(model):
         expected = np.stack([embed_density(model, np.diag(row)) for row in np.eye(n)])
     else:
         expected = np.zeros((n, m))
+        offsets = block_offsets(model.space)
         for i in range(n):
-            expected[i, model.space.offsets[s([i], n)]] = 1.0
+            expected[i, offsets[s([i], n)]] = 1.0
     assert model.basis_index.shape == (n,)
     assert model.basis_index.dtype == np.intp
     assert np.array_equal(basis_vectors(model), expected)
@@ -206,9 +246,10 @@ def test_quantum_embedding_matches_per_entry_reference():
         model = quantum_model(n)
         space = model.space
         rho = random_density(n, rng)
+        offsets = block_offsets(space)
         coords = np.zeros(space.total_dim)
         for sector in space.sectors:
-            off = space.offsets[sector]
+            off = offsets[sector]
             if len(sector) == 1:
                 i = sector.members[0]
                 coords[off] = rho[i, i].real
@@ -219,7 +260,7 @@ def test_quantum_embedding_matches_per_entry_reference():
         assert np.array_equal(embed_density(model, rho), coords), n
         back = np.zeros((n, n), dtype=complex)
         for sector in space.sectors:
-            off = space.offsets[sector]
+            off = offsets[sector]
             if len(sector) == 1:
                 back[sector.members[0], sector.members[0]] = coords[off]
             else:
@@ -253,7 +294,7 @@ def test_synthetic_model_uniform_state():
 
 def test_synthetic_model_full_order_has_full_sector_weight():
     model = synthetic_model(3, 3)
-    full = model.uniform_state[model.space.sector_slice(s([0, 1, 2], 3))]
+    full = model.uniform_state[coherence_projector(model, s([0, 1, 2], 3)) == 1.0]
     assert full[0] > 0
 
 
@@ -290,8 +331,8 @@ def test_spec_descriptors_and_block_weights_match_the_built_models():
         assert descriptor_from_spec(kind, n, h, dims) == model.descriptor(), (kind, n, h)
         weights = uniform_block_weights(kind, n, h, dims)
         assert sorted(weights) == list(range(1, h + 1)), (kind, n, h)
-        for sector in model.space.sectors:
-            block = model.uniform_state[model.space.sector_slice(sector)]
+        for b, sector in enumerate(model.space.sectors):
+            block = model.uniform_state[model.space.owner == b]
             assert float(block @ block) == pytest.approx(weights[len(sector)], rel=1e-14, abs=0.0)
 
 
@@ -330,6 +371,14 @@ def test_slit_projector_rejects_a_set_from_another_universe(model):
     for other in (s([0], n + 1), s([], n - 1)):
         with pytest.raises(ValueError, match=f"does not match the model's {n} slits"):
             slit_projector(model, other)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_coherence_projector_rejects_a_sector_outside_the_layout(model):
+    n, h = model.n_slits, model.order
+    for other in (s(range(h + 1), n), s([0], n + 1)):  # above the order; another universe
+        with pytest.raises(ValueError, match="unknown sector"):
+            coherence_projector(model, other)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -407,7 +456,7 @@ def test_pythagoras_over_random_vectors():
     for _ in range(100):
         state = rng.standard_normal(model.space.total_dim)
         total = sum(
-            float(np.sum(state[model.space.sector_slice(sec)] ** 2))
+            float(np.sum(state[coherence_projector(model, sec) == 1.0] ** 2))
             for sec in model.space.sectors
         )
         assert total == pytest.approx(np.linalg.norm(state) ** 2, abs=1e-9)

@@ -6,6 +6,7 @@ import pytest
 
 from hoisearch.models import (
     classical_model,
+    coherence_projector,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -71,8 +72,8 @@ def test_synthetic_oracle_sign_pattern():
     model = synthetic_model(4, 3)
     diag = sign_flip_oracle(model, 0)
     flipped = {
-        sector for sector in model.space.sectors
-        if diag[model.space.sector_slice(sector)][0] < 0
+        sector for b, sector in enumerate(model.space.sectors)
+        if diag[model.space.owner == b][0] < 0
     }
     expected = {
         s([0, 1], 4), s([0, 2], 4), s([0, 3], 4),
@@ -131,11 +132,9 @@ def test_block_permuting_map_fails_commutation():
     # moves coherence between sectors, which the oracle axioms forbid
     model = quantum_model(3)
     m = np.eye(9)
-    a = model.space.sector_slice(s([0, 1], 3))
-    b = model.space.sector_slice(s([0, 2], 3))
-    m[:, list(range(a.start, a.stop)) + list(range(b.start, b.stop))] = m[
-        :, list(range(b.start, b.stop)) + list(range(a.start, a.stop))
-    ]
+    a = np.flatnonzero(coherence_projector(model, s([0, 1], 3)))
+    b = np.flatnonzero(coherence_projector(model, s([0, 2], 3)))
+    m[:, np.r_[a, b]] = m[:, np.r_[b, a]]
     check = verify_oracle(model, m, 0)
     assert check.orthogonality_defect < 1e-12
     assert check.commutation_defect > 0.5
@@ -146,8 +145,7 @@ def test_fix_condition_catches_action_on_unmarked_sectors():
     # flipping a sector that does not contain the marked item violates the
     # fixed-sector condition even though everything commutes
     model = quantum_model(3)
-    diag = np.ones(9)
-    diag[model.space.sector_slice(s([1, 2], 3))] = -1.0
+    diag = 1.0 - 2.0 * coherence_projector(model, s([1, 2], 3))
     check = verify_oracle(model, np.diag(diag), 0)
     assert check.commutation_defect == 0.0
     assert check.fixed_sector_defect == 2.0
@@ -219,8 +217,7 @@ def test_diagonal_only_states_are_not_displaced():
     rng = np.random.default_rng(2)
     probs = rng.dirichlet(np.ones(4))
     state = np.zeros(model.space.total_dim)
-    for i, p in enumerate(probs):
-        state[model.space.offsets[s([i], 4)]] = p
+    state[model.basis_index] = probs
     assert oracle_displacement(model, state) == 0.0
 
 
@@ -246,6 +243,6 @@ def test_oracle_acts_only_on_marked_multislit_sectors():
     for x in range(5):
         delta = state - sign_flip_oracle(model, x) * state
         for sector in model.space.sectors:
-            block = delta[model.space.sector_slice(sector)]
+            block = delta[coherence_projector(model, sector) == 1.0]
             if x not in sector or len(sector) == 1:
                 assert np.all(block == 0.0), (x, sector)

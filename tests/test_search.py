@@ -521,11 +521,39 @@ def test_reflect_at_a_million_items_saturates_below_the_ceiling():
     assert time.perf_counter() - started < 1.0
 
 
-def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use():
+class _Admitted(Exception):
+    pass
+
+
+def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
     for model in (classical_model(1024), synthetic_model(16, 4)):
         assert (model.n_slits + 1) * model.space.total_dim <= MAX_DENSE_ENTRIES
     with pytest.raises(EnumerationLimitError, match="past the guard"):
         run_experiment("quantum", 128, "random")
+    # a report holds k_max + 1 entries per field, times N in a random run's
+    # success rows; past the guard it is refused before any route allocates
+    # one (synthetic N = 10^15, h = 3 has the default k_max 126,491,107)
+    def admitted(*_args, **_kwargs):
+        raise _Admitted
+
+    with monkeypatch.context() as patched:
+        for route in ("reflection_report", "quantum_grover_report", "build_model"):
+            patched.setattr(hoisearch.search, route, admitted)
+        for args, kwargs in [
+            (("quantum", 64), {"k_max": 10**11}),
+            (("quantum", 64), {"k_max": 2**21}),
+            (("synthetic", 8, "reflect"), {"order": 3, "k_max": 2**21}),
+            (("synthetic", 10**15), {"order": 3}),
+            (("quantum", 8, "random"), {"k_max": 2**18}),
+        ]:
+            with pytest.raises(EnumerationLimitError, match="entries, past the guard of 2097152"):
+                run_experiment(*args, **kwargs)
+        # N (k_max + 1) = 2^21 exactly
+        with pytest.raises(_Admitted):
+            run_experiment("quantum", 8, "random", k_max=2**18 - 1)
+    # a closed form's success is one broadcast column: 2^21 entries pass
+    assert run_experiment("quantum", 64, k_max=2**21 - 1).k[-1] == 2**21 - 1
+    assert run_experiment("synthetic", 10**9, order=4).k[-1] == default_k_max(10**9) == 126_492
     # a report's success rows are N long, so N stops at the largest index
     for kind in ("classical", "quantum", "synthetic"):
         with pytest.raises(ValueError, match="past the largest array index"):
