@@ -33,7 +33,6 @@ from .models import (
     OracleCheck,
     SectorSpace,
     build_model,
-    build_sector_space,
     classical_model,
     coherence_projector,
     embed_density,

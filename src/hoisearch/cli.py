@@ -22,6 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .models import (
+    DEFAULT_TOL,
     Model,
     NumericError,
     build_model,
@@ -176,7 +177,7 @@ def _verify_exact_cell(n: int, h: int) -> tuple[bool, str]:
 def _verify_pairing_cell(universe: int) -> tuple[bool, str]:
     mismatches = 0
     checked = 0
-    subsets = [SlitSet((), universe), *enumerate_sectors(universe, universe)]
+    subsets = list(SlitSet(tuple(range(universe)), universe).subsets(include_empty=True))
     for left in subsets:
         for right in subsets:
             counts = signed_pairing_counts(left, right)
@@ -432,7 +433,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=tolerance,
-        default=1e-9,
+        default=DEFAULT_TOL,
         help="bound on the per-step reversibility check of simulated (random) runs "
         "(the closed-form reflect and quantum grover routes have no step to check)",
     )
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     cells.add_argument("--n-max", type=int, default=6, help="grid upper bound for N")
     cells.add_argument("--n", default=None, help="verify a single N instead of the grid")
     p_verify.add_argument("--h", type=int, default=None, help="order for the single-N cell")
-    p_verify.add_argument("--tol", type=tolerance, default=1e-9, help="numeric tolerance")
+    p_verify.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="numeric tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
     for name, func, text in (

@@ -1,7 +1,8 @@
 """Concrete sector-decomposed state spaces and their operator algebra.
 
-A model fixes a number of distinguishable states N, an interference order h,
-and one real coordinate block per slit subset of size at most h. Coordinates
+A model is a family and a layout: N distinguishable states, an interference
+order h, and one real coordinate block per slit subset of size at most h.
+`build_model` builds every model; all else a model has is derived. Coordinates
 are chosen orthonormal for the self-dualising inner product, so the inner
 product is the plain Euclidean dot product, reversible dynamics are exactly
 the orthogonal matrices, and every coherence projector is an axis-aligned
@@ -24,6 +25,7 @@ families are provided:
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from dataclasses import dataclass
 from math import comb
@@ -42,7 +44,6 @@ __all__ = [
     "SectorSpace",
     "OracleCheck",
     "Model",
-    "build_sector_space",
     "classical_model",
     "quantum_model",
     "synthetic_model",
@@ -81,7 +82,8 @@ class SectorSpace:
     """Coordinate layout of a sector-decomposed state space, fixed by N, the
     order h and the block dimension ``d_t`` of each sector size t <= h. The
     sectors, each block's coordinates and M are derived from these, so none
-    can disagree with them; construction checks N, h and every ``d_t >= 1``."""
+    can disagree with them; construction checks N, h and that every ``d_t``
+    is an integer >= 1."""
 
     n_slits: int
     order: int
@@ -93,7 +95,13 @@ class SectorSpace:
         for size in range(1, self.order + 1):
             if size not in self.dims_per_size:
                 raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
-            dims[size] = int(self.dims_per_size[size])
+            value = self.dims_per_size[size]
+            try:
+                dims[size] = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"sector dimension for size {size} must be an integer, got {value!r}"
+                ) from None
             if dims[size] < 1:
                 raise ValueError(f"sector dimension for size {size} must be >= 1, got {dims[size]}")
         object.__setattr__(self, "dims_per_size", dims)
@@ -144,11 +152,43 @@ class SectorSpace:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A concrete theory carrier: a space and its uniform state, ``(M,)``."""
+    """A concrete theory carrier, built by `build_model`: a family and a layout
+    that agree, as construction checks (`model_order` accepts the kind, N and
+    h; a classical or quantum layout has `default_dims_per_size`)."""
 
     kind: str
     space: SectorSpace
-    uniform_state: np.ndarray
+
+    def __post_init__(self) -> None:
+        dims = self.space.dims_per_size
+        model_order(self.kind, self.space.n_slits, self.space.order)
+        expected = dims if self.kind == "synthetic" else default_dims_per_size(self.kind, self.space.order)
+        if dims != expected:
+            raise ValueError(f"the {self.kind} layout has block dimensions {expected}, got {dims}")
+
+    @functools.cached_property
+    def uniform_state(self) -> np.ndarray:
+        """The start state of a search, ``(M,)``, read-only.
+
+        Quantum: the embedded pure state with every matrix entry 1/N.
+        Otherwise 1/N on each basis coordinate and the leftover weight spread
+        evenly over the higher-sector coordinates, for norm 1 and overlap 1/N
+        with each basis state as in the quantum state (`uniform_block_weights`);
+        at order 1 it is the classical uniform distribution, of norm 1/sqrt(N).
+        """
+        space, n = self.space, self.n_slits
+        if self.kind == "quantum":
+            coords = _embed(space, np.full((n, n), 1.0 / n))
+        else:
+            coords = np.zeros(space.total_dim)
+            coords[self.basis_index] = 1.0 / n
+            # every coordinate past the leading singleton blocks is a higher sector's
+            n_higher = space.total_dim - n * space.dims_per_size[1]
+            if n_higher > 0:
+                weights = uniform_block_weights(self.kind, n, self.order, space.dims_per_size)
+                coords[-n_higher:] = np.sqrt(weights[2] / space.dims_per_size[2])
+        coords.flags.writeable = False  # shared by every caller of the cached state
+        return coords
 
     @property
     def n_slits(self) -> int:
@@ -202,65 +242,24 @@ class OracleCheck:
 # Space and model construction
 # ---------------------------------------------------------------------------
 
-def build_sector_space(n_slits: int, order: int, dims_per_size: Mapping[int, int]) -> SectorSpace:
-    """One coordinate block per sector, in canonical order; ``dims_per_size``
-    must give every sector size 1..`order` a dimension >= 1."""
-    return SectorSpace(n_slits, order, dims_per_size)
-
-
 def classical_model(n_slits: int) -> Model:
-    """Order-1 theory: states are probability vectors over the slits.
-
-    The uniform state is the uniform distribution, a mixed state of norm
-    ``1/sqrt(N)``; search experiments on this model therefore start from a
-    mixed state.
-    """
-    space = build_sector_space(n_slits, 1, default_dims_per_size("classical", 1))
-    return Model("classical", space, np.full(space.total_dim, 1.0 / n_slits))
+    """Order-1 theory: states are probability vectors over the slits."""
+    return build_model("classical", n_slits)
 
 
 def quantum_model(n_slits: int) -> Model:
-    """Order-2 theory: N x N density matrices in real sector coordinates.
-
-    Each singleton block holds a diagonal entry; each pair block holds
-    ``(sqrt(2) Re rho_ij, sqrt(2) Im rho_ij)``, making the embedding a
-    Hilbert-Schmidt isometry. Basis states embed the projectors onto the
-    computational basis; the uniform state embeds the maximal-superposition
-    pure state (all matrix entries 1/N).
-    """
-    model_order("quantum", n_slits)
-    space = build_sector_space(n_slits, 2, default_dims_per_size("quantum", 2))
-    uniform = _embed(space, np.full((n_slits, n_slits), 1.0 / n_slits))
-    return Model("quantum", space, uniform)
+    """Order-2 theory: N x N density matrices in real sector coordinates, a
+    diagonal entry per singleton block and ``(sqrt(2) Re rho_ij, sqrt(2) Im
+    rho_ij)`` per pair block, which makes the embedding a Hilbert-Schmidt
+    isometry."""
+    return build_model("quantum", n_slits)
 
 
 def synthetic_model(
     n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
 ) -> Model:
-    """Abstract order-h carrier, one dimension per sector unless configured.
-
-    Basis state i is the unit vector on the first coordinate of singleton
-    block i. The uniform state puts 1/N on each of those coordinates and
-    spreads the remaining weight evenly over all higher-sector coordinates so
-    that its norm is exactly 1 and its overlap with every basis state is 1/N,
-    mimicking the quantum uniform state (`uniform_block_weights`). With no
-    higher sectors (order 1) the leftover weight has nowhere to go and the
-    uniform state is the classical mixed one of norm ``1/sqrt(N)``.
-    """
-    if dims_per_size is None:
-        dims_per_size = default_dims_per_size("synthetic", order)
-    space = build_sector_space(n_slits, order, dims_per_size)
-    # the singleton blocks lead the layout (see `Model.basis_index`), so every
-    # coordinate past them belongs to a higher sector, and all of them carry
-    # the same weight
-    width = space.dims_per_size[1]
-    coords = np.zeros(space.total_dim)
-    coords[: n_slits * width : width] = 1.0 / n_slits
-    n_higher = space.total_dim - n_slits * width
-    if n_higher > 0:
-        weights = uniform_block_weights("synthetic", n_slits, order, space.dims_per_size)
-        coords[-n_higher:] = np.sqrt(weights[2] / space.dims_per_size[2])
-    return Model("synthetic", space, coords)
+    """Abstract order-h carrier, one dimension per sector unless configured."""
+    return build_model("synthetic", n_slits, order, dims_per_size)
 
 
 def model_order(kind: str, n_slits: int, order: int | None = None) -> int:
@@ -304,17 +303,13 @@ def build_model(
     order: int | None = None,
     dims_per_size: Mapping[int, int] | None = None,
 ) -> Model:
-    """Build a model of one family, checking the spec with `model_order`.
-
-    ``dims_per_size`` sets the synthetic block dimensions; the classical and
-    quantum layouts are fixed.
-    """
+    """The one constructor of a model, after `model_order` checks the spec.
+    ``dims_per_size`` defaults to the family's layout, and only the synthetic
+    one can differ from it."""
     order = model_order(kind, n_slits, order)
-    if kind == "classical":
-        return classical_model(n_slits)
-    if kind == "quantum":
-        return quantum_model(n_slits)
-    return synthetic_model(n_slits, order, dims_per_size)
+    if dims_per_size is None:
+        dims_per_size = default_dims_per_size(kind, order)
+    return Model(kind, SectorSpace(n_slits, order, dims_per_size))
 
 
 def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
@@ -548,6 +543,8 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
     ``cols`` columns of a Haar-uniform orthogonal matrix (Mezzadri 2007,
     arXiv math-ph/0609050); the default ``cols = dim`` is such a matrix.
     """
+    if cols is not None and cols > dim:
+        raise ValueError(f"a frame in R^{dim} has at most {dim} columns, got {cols}")
     a = rng.standard_normal((dim, dim if cols is None else cols))
     q, r = np.linalg.qr(a)
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)

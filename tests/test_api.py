@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "UpperBoundCheck",
     "analytic_crossing_floor",
     "build_model",
-    "build_sector_space",
     "check_lower_bound",
     "check_upper_bound",
     "classical_model",
@@ -68,6 +67,7 @@ REMOVED_NAMES = [
     "lift_unitary_conjugation",
     "coherence_from_slit_projectors",
     "SignedSubsetCombination",
+    "build_sector_space",
 ]
 
 

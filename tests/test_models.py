@@ -15,8 +15,8 @@ from hoisearch import models
 from hoisearch.models import (
     DEFAULT_TOL,
     SectorSpace,
+    Model,
     build_model,
-    build_sector_space,
     classical_model,
     descriptor_from_spec,
     coherence_projector,
@@ -70,13 +70,13 @@ def orthogonality_defect(x):
 # ---------------------------------------------------------------------------
 
 def test_build_sector_space_dimensions():
-    assert build_sector_space(3, 2, {1: 1, 2: 2}).total_dim == 9
-    assert build_sector_space(4, 1, {1: 1}).total_dim == 4
-    assert build_sector_space(4, 3, {1: 1, 2: 1, 3: 1}).total_dim == 14
+    assert SectorSpace(3, 2, {1: 1, 2: 2}).total_dim == 9
+    assert SectorSpace(4, 1, {1: 1}).total_dim == 4
+    assert SectorSpace(4, 3, {1: 1, 2: 1, 3: 1}).total_dim == 14
 
 
 def test_build_sector_space_offsets_partition():
-    space = build_sector_space(4, 2, {1: 1, 2: 3})
+    space = SectorSpace(4, 2, {1: 1, 2: 3})
     offsets = block_offsets(space)
     seen = np.zeros(space.total_dim, dtype=int)
     owner = np.empty(space.total_dim, dtype=int)
@@ -90,16 +90,27 @@ def test_build_sector_space_offsets_partition():
 
 def test_build_sector_space_validation():
     with pytest.raises(ValueError):
-        build_sector_space(3, 2, {1: 1})  # missing size-2 dimension
+        SectorSpace(3, 2, {1: 1})  # missing size-2 dimension
     with pytest.raises(ValueError):
-        build_sector_space(3, 2, {1: 1, 2: 0})
+        SectorSpace(3, 2, {1: 1, 2: 0})
     with pytest.raises(ValueError):
-        build_sector_space(3, 4, {1: 1, 2: 1, 3: 1, 4: 1})
+        SectorSpace(3, 4, {1: 1, 2: 1, 3: 1, 4: 1})
     # N and h are checked before the block dimensions
     with pytest.raises(ValueError, match="order must satisfy 1 <= order <= 3, got 4"):
-        build_sector_space(3, 4, {1: 1})
+        SectorSpace(3, 4, {1: 1})
     with pytest.raises(ValueError, match="need at least one slit, got 0"):
-        build_sector_space(0, 1, {})
+        SectorSpace(0, 1, {})
+    # a block dimension is an integer, never truncated or parsed
+    with pytest.raises(ValueError, match="size 2 must be an integer, got 1.5"):
+        synthetic_model(3, 2, {1: 1, 2: 1.5})
+    with pytest.raises(ValueError, match="size 1 must be an integer, got '2'"):
+        SectorSpace(3, 1, {1: "2"})
+    with pytest.raises(ValueError, match="size 2 must be an integer, got 2.0"):
+        SectorSpace(3, 2, {1: 1, 2: 2.0})
+    space = SectorSpace(3, 2, {1: np.int64(2), 2: np.uint8(3)})
+    assert space.dims_per_size == {1: 2, 2: 3}
+    assert all(type(d) is int for d in space.dims_per_size.values())
+    assert space.total_dim == 2 * 3 + 3 * 3
 
 
 def test_sector_space_stores_only_n_h_and_block_dims():
@@ -182,6 +193,60 @@ MODELS = [
     synthetic_model(4, 3, {1: 2, 2: 3, 3: 1}),
 ]
 MODEL_IDS = ["classical", "quantum", "synthetic", "synthetic-wide"]
+
+
+def test_model_stores_only_its_family_and_layout():
+    assert [f.name for f in dataclasses.fields(Model)] == ["kind", "space"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_descriptor_rebuilds_the_model(model):
+    # the recipe README's break table gives for the removed model_from_descriptor
+    d = model.descriptor()
+    dims = {int(t): m for t, m in d["dims_per_size"].items()}
+    rebuilt = build_model(d["kind"], d["n_slits"], d["order"], dims)
+    assert rebuilt.kind == model.kind
+    assert np.array_equal(rebuilt.space.owner, model.space.owner)
+    assert np.array_equal(rebuilt.space.members, model.space.members)
+    assert rebuilt.uniform_state.tobytes() == model.uniform_state.tobytes()
+
+
+def test_a_model_whose_family_and_layout_disagree_is_refused():
+    with pytest.raises(ValueError, match=r"quantum layout has block dimensions \{1: 1, 2: 2\}"):
+        Model("quantum", SectorSpace(3, 2, {1: 1, 2: 1}))
+    with pytest.raises(ValueError, match="the classical model has order 1"):
+        Model("classical", SectorSpace(4, 3, {1: 1, 2: 1, 3: 1}))
+    with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+        Model("bogus", SectorSpace(3, 1, {1: 1}))
+    with pytest.raises(ValueError, match="the quantum model has order 2"):
+        Model("quantum", SectorSpace(2, 1, {1: 1}))
+    # build_model takes the family's own layout only, never drops a given one
+    with pytest.raises(ValueError, match="quantum layout has block dimensions"):
+        build_model("quantum", 4, dims_per_size={1: 1, 2: 1})
+    with pytest.raises(ValueError, match="classical layout has block dimensions"):
+        build_model("classical", 4, dims_per_size={1: 2})
+    assert build_model("quantum", 4, dims_per_size={1: 1, 2: 2}).space.total_dim == 16
+
+
+def test_uniform_state_is_read_only():
+    model = quantum_model(3)
+    # one cached array is handed to every caller, as `SectorSpace.members` is
+    with pytest.raises(ValueError, match="read-only"):
+        model.uniform_state[0] = 1.0
+    assert model.uniform_state is model.uniform_state
+
+
+def test_uniform_state_rules_cover_every_family():
+    # the classical state is the order-1 case of the synthetic rule, and the
+    # quantum one is the embedded all-1/N matrix
+    for n in (1, 2, 5, 12):
+        classical = classical_model(n).uniform_state
+        assert classical.tobytes() == np.full(n, 1.0 / n).tobytes()
+        assert classical.tobytes() == synthetic_model(n, 1).uniform_state.tobytes()
+    for n in (2, 3, 8):
+        model = quantum_model(n)
+        embedded = embed_density(model, np.full((n, n), 1.0 / n))
+        assert model.uniform_state.tobytes() == embedded.tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -618,3 +683,9 @@ def test_haar_frame_is_the_leading_block_of_the_full_draw():
     frame = haar_orthogonal(6, np.random.default_rng(4), 2)
     assert frame.shape == (6, 2)
     assert np.max(np.abs(frame.T @ frame - np.eye(2))) < 1e-12
+
+
+def test_haar_frame_wider_than_the_space_is_refused():
+    # R^3 holds at most 3 orthonormal columns; a shorter frame is no answer
+    with pytest.raises(ValueError, match="at most 3 columns, got 5"):
+        haar_orthogonal(3, np.random.default_rng(4), 5)
