@@ -27,8 +27,6 @@ from .models import (
     NumericError,
     build_model,
     interference_order,
-    layout_dim,
-    model_order,
     sign_flip_oracle,
     verify_oracle,
     coherence_completeness_defect,
@@ -153,13 +151,13 @@ MAX_VERIFY_TERMS = 2**22
 MAX_VERIFY_DIM = 2**11
 
 
-def _check_verify_work(cells: list[tuple[int, int]], specs: list[tuple[str, int, int]]) -> None:
-    """Refuse a run whose exact (N, h) cells or largest model (kind, N, h)
-    pass the work guard. Every spec must already be valid."""
+def _check_verify_work(cells: list[tuple[int, int]], models: list[Model]) -> None:
+    """Refuse a run whose exact (N, h) cells or largest model cell pass the
+    work guard. The models are built but none has enumerated a sector."""
     terms = sum(math.comb(n, t) << t for n, h in cells for t in range(1, h + 1))
     if terms > MAX_VERIFY_TERMS:
         raise UsageError(f"the exact cells sum {terms} expansion terms, past the guard {MAX_VERIFY_TERMS}")
-    dim = max(layout_dim(kind, n, h) for kind, n, h in specs)
+    dim = max(model.space.total_dim for model in models)
     if dim > MAX_VERIFY_DIM:
         raise UsageError(f"the largest model cell has M = {dim} coordinates, past the guard {MAX_VERIFY_DIM}")
 
@@ -241,9 +239,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = _single_n(_parse_int_list(args.n), "verify --n")
         _check_universe_flag("--n", n)
         h = args.h if args.h is not None else min(n, 3)
-        model_order("synthetic", n, h)
-        specs = [("synthetic", n, h)]
-        _check_verify_work([(n, h)], specs)
+        models = [build_model("synthetic", n, h)]
+        _check_verify_work([(n, h)], models)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
     else:
         if args.h is not None:
@@ -253,13 +250,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"--n-max must be >= 1, got {n_max}")
         _check_universe_flag("--n-max", n_max)
         cells = [(n, h) for n in range(1, n_max + 1) for h in range(1, n + 1)]
-        specs = [
-            (kind, n, h)
+        models = [
+            build_model(kind, n, h)
             for n in range(1, n_max + 1)
             for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 3), ("synthetic", 4))
             if h <= n
         ]
-        _check_verify_work(cells, specs)
+        _check_verify_work(cells, models)
         exact_ok = True
         for n, h in cells:
             ok, msg = _verify_exact_cell(n, h)
@@ -276,9 +273,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pair_universe = min(n_max, 5)
         ok, msg = _verify_pairing_cell(pair_universe)
         rows.append((f"pairing counts universe<={pair_universe}", ok, msg))
-    for kind, n, h in specs:
-        label = f"{kind} N={n} h={h}" if kind == "synthetic" else f"{kind} N={n}"
-        rows.extend(_verify_model_cell(build_model(kind, n, h), label, tol))
+    for model in models:
+        label = f"{model.kind} N={model.n_slits}"
+        if model.kind == "synthetic":
+            label += f" h={model.order}"
+        rows.extend(_verify_model_cell(model, label, tol))
 
     width = max(len(r[0]) for r in rows)
     all_ok = True

@@ -2,7 +2,9 @@
 
 A model is a family and a layout: N distinguishable states, an interference
 order h, and one real coordinate block per slit subset of size at most h.
-`build_model` builds every model; all else a model has is derived. Coordinates
+`build_model` builds every model, and all else a model has is derived: the
+block weights of its uniform state and its coordinate count M without
+enumerating a sector, the sectors themselves on first dense use. Coordinates
 are chosen orthonormal for the self-dualising inner product, so the inner
 product is the plain Euclidean dot product, reversible dynamics are exactly
 the orthogonal matrices, and every coherence projector is an axis-aligned
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
+import types
 from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
@@ -50,9 +53,6 @@ __all__ = [
     "build_model",
     "model_order",
     "default_dims_per_size",
-    "layout_dim",
-    "descriptor_from_spec",
-    "uniform_block_weights",
     "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
@@ -82,17 +82,23 @@ class SectorSpace:
     """Coordinate layout of a sector-decomposed state space, fixed by N, the
     order h and the block dimension ``d_t`` of each sector size t <= h. The
     sectors, each block's coordinates and M are derived from these, so none
-    can disagree with them; construction checks N, h and that every ``d_t``
-    is an integer >= 1."""
+    can disagree with them. Construction checks N, h and that every ``d_t``
+    is an integer >= 1 without enumerating a sector; M is a count, and the
+    sectors and the tables read from them are enumerated on first use."""
 
     n_slits: int
     order: int
     dims_per_size: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        self.sectors  # the one enumeration, cached; checks N and h
+        # integers, as the sector enumeration needs them
+        n, order = operator.index(self.n_slits), operator.index(self.order)
+        if n < 1:
+            raise ValueError(f"need at least one slit, got {n}")
+        if not 1 <= order <= n:
+            raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
         dims: dict[int, int] = {}
-        for size in range(1, self.order + 1):
+        for size in range(1, order + 1):
             if size not in self.dims_per_size:
                 raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
             value = self.dims_per_size[size]
@@ -113,8 +119,9 @@ class SectorSpace:
 
     @functools.cached_property
     def total_dim(self) -> int:
-        """M, the number of coordinates."""
-        return self.owner.size
+        """M, the number of coordinates: ``sum_t d_t C(N, t)`` over the sector
+        sizes t <= h, counted without enumerating a sector."""
+        return sum(d * comb(self.n_slits, size) for size, d in self.dims_per_size.items())
 
     @functools.cached_property
     def owner(self) -> np.ndarray:
@@ -167,14 +174,46 @@ class Model:
             raise ValueError(f"the {self.kind} layout has block dimensions {expected}, got {dims}")
 
     @functools.cached_property
+    def block_weights(self) -> Mapping[int, float]:
+        """Squared norm ``w_t`` of the uniform state on one sector of each size t,
+        read-only.
+
+        The uniform state weighs every sector of one size alike, so these
+        numbers and the counts ``C(N, t)`` give its norm and its weight on any
+        union of sectors, without enumerating a sector:
+
+        * classical: ``w_1 = 1/N^2``, the uniform distribution;
+        * quantum: ``w_1 = 1/N^2`` and ``w_2 = 2/N^2``, an off-diagonal entry
+          1/N scaled by sqrt(2);
+        * synthetic: ``w_1 = 1/N^2``, and the leftover ``1 - 1/N`` spread evenly
+          over the higher-sector coordinates, ``dims_per_size`` of them per sector.
+        """
+        n, dims = self.n_slits, self.space.dims_per_size
+        start = 1.0 / n
+        weights = {1: start**2}
+        if self.kind == "quantum":
+            weights[2] = 2.0 * start**2
+        elif self.order > 1:
+            # every coordinate past the leading singleton blocks is a higher sector's
+            n_higher = self.space.total_dim - n * dims[1]
+            if n_higher > sys.float_info.max:
+                raise EnumerationLimitError(
+                    f"synthetic N={n} h={self.order} has more higher-sector coordinates "
+                    "than a float can count"
+                )
+            per_coordinate = (1.0 - n * weights[1]) / n_higher
+            weights.update({size: dims[size] * per_coordinate for size in range(2, self.order + 1)})
+        return types.MappingProxyType(weights)  # shared by every caller of the cached weights
+
+    @functools.cached_property
     def uniform_state(self) -> np.ndarray:
         """The start state of a search, ``(M,)``, read-only.
 
         Quantum: the embedded pure state with every matrix entry 1/N.
         Otherwise 1/N on each basis coordinate and the leftover weight spread
         evenly over the higher-sector coordinates, for norm 1 and overlap 1/N
-        with each basis state as in the quantum state (`uniform_block_weights`);
-        at order 1 it is the classical uniform distribution, of norm 1/sqrt(N).
+        with each basis state as in the quantum state (`block_weights`); at
+        order 1 it is the classical uniform distribution, of norm 1/sqrt(N).
         """
         space, n = self.space, self.n_slits
         if self.kind == "quantum":
@@ -182,11 +221,10 @@ class Model:
         else:
             coords = np.zeros(space.total_dim)
             coords[self.basis_index] = 1.0 / n
-            # every coordinate past the leading singleton blocks is a higher sector's
-            n_higher = space.total_dim - n * space.dims_per_size[1]
-            if n_higher > 0:
-                weights = uniform_block_weights(self.kind, n, self.order, space.dims_per_size)
-                coords[-n_higher:] = np.sqrt(weights[2] / space.dims_per_size[2])
+            if self.order > 1:
+                # the higher sectors follow the leading singleton blocks
+                higher = np.sqrt(self.block_weights[2] / space.dims_per_size[2])
+                coords[n * space.dims_per_size[1]:] = higher
         coords.flags.writeable = False  # shared by every caller of the cached state
         return coords
 
@@ -210,7 +248,12 @@ class Model:
 
     def descriptor(self) -> dict:
         """JSON-serialisable description sufficient to rebuild the model."""
-        return descriptor_from_spec(self.kind, self.n_slits, self.order, self.space.dims_per_size)
+        return {
+            "kind": self.kind,
+            "n_slits": self.n_slits,
+            "order": self.order,
+            "dims_per_size": {str(k): v for k, v in sorted(self.space.dims_per_size.items())},
+        }
 
 
 @dataclass(frozen=True)
@@ -267,19 +310,19 @@ def model_order(kind: str, n_slits: int, order: int | None = None) -> int:
 
     Classical and quantum models have a fixed order (1 and 2), so ``order``
     may be omitted or must equal it; synthetic models need an explicit
-    ``order`` of at most ``n_slits``. Nothing is built, so this is also the
-    check of the closed-form routes that never build a model. N is capped
-    at the largest array index, the length of a report's success rows.
+    ``order`` of at most ``n_slits``. `build_model` and `Model` check every
+    spec with it. N is capped at the largest array index, the length of a
+    report's success rows.
     """
     if n_slits > np.iinfo(np.intp).max:
         raise ValueError(f"N={n_slits} is past the largest array index {np.iinfo(np.intp).max}")
     if kind == "classical":
         if order not in (None, 1):
-            raise ValueError("the classical model has order 1; omit --h")
+            raise ValueError(f"the classical model has order 1, got order {order}")
         order = 1
     elif kind == "quantum":
         if order not in (None, 2):
-            raise ValueError("the quantum model has order 2; omit --h")
+            raise ValueError(f"the quantum model has order 2, got order {order}")
         if n_slits < 2:
             raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
         return 2
@@ -321,69 +364,6 @@ def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
     if kind == "quantum":
         return {1: 1, 2: 2}
     return {size: 1 for size in range(1, order + 1)}
-
-
-def layout_dim(
-    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
-) -> int:
-    """Coordinates M of a layout, ``sum_t d_t C(N, t)`` over the sector sizes
-    t <= h, counted from the spec without enumerating a sector.
-
-    ``dims_per_size`` defaults to the family's standard layout.
-    """
-    if dims_per_size is None:
-        dims_per_size = default_dims_per_size(kind, order)
-    return sum(dims_per_size[size] * comb(n_slits, size) for size in range(1, order + 1))
-
-
-def uniform_block_weights(
-    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
-) -> dict[int, float]:
-    """Squared norm ``w_t`` of the uniform state on one sector of each size t.
-
-    The uniform state weighs every sector of one size alike, so these
-    numbers and the counts ``C(N, t)`` give its norm and its weight on any
-    union of sectors:
-
-    * classical: ``w_1 = 1/N^2``, the uniform distribution;
-    * quantum: ``w_1 = 1/N^2`` and ``w_2 = 2/N^2``, an off-diagonal entry
-      1/N scaled by sqrt(2);
-    * synthetic: ``w_1 = 1/N^2``, and the leftover ``1 - 1/N`` spread evenly
-      over the higher-sector coordinates, ``dims_per_size`` (one per sector
-      by default) of them per sector.
-    """
-    start = 1.0 / n_slits
-    weights = {1: start**2}
-    if kind == "quantum":
-        weights[2] = 2.0 * start**2
-    elif kind == "synthetic" and order > 1:
-        dims = default_dims_per_size(kind, order) if dims_per_size is None else dims_per_size
-        n_higher = layout_dim(kind, n_slits, order, dims) - n_slits * dims[1]
-        if n_higher > sys.float_info.max:
-            raise EnumerationLimitError(
-                f"synthetic N={n_slits} h={order} has more higher-sector coordinates "
-                "than a float can count"
-            )
-        per_coordinate = (1.0 - n_slits * weights[1]) / n_higher
-        weights.update({size: dims[size] * per_coordinate for size in range(2, order + 1)})
-    return weights
-
-
-def descriptor_from_spec(
-    kind: str, n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
-) -> dict:
-    """``Model.descriptor()`` of a spec, without building the model.
-
-    ``dims_per_size`` defaults to the family's standard layout.
-    """
-    if dims_per_size is None:
-        dims_per_size = default_dims_per_size(kind, order)
-    return {
-        "kind": kind,
-        "n_slits": n_slits,
-        "order": order,
-        "dims_per_size": {str(k): v for k, v in sorted(dims_per_size.items())},
-    }
 
 
 # ---------------------------------------------------------------------------

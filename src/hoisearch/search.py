@@ -14,14 +14,14 @@ of marked item x is the unit vector at ``model.basis_index[x]``.
 ``run_experiment`` is the one path from an experiment spec (family, N, h,
 strategy, seed, k_max) to a report, and the one place that maps a strategy
 to a route; sweeps and the CLI go through it. It checks the whole spec
-before it builds anything. Both symmetric strategies take an exact
-closed-form report at every N, in O(k) time and memory and without building
-a model: from the uniform start every marked trajectory is a rotation in a
-two-dimensional plane and the oracle-free control never moves, so each
-measure is a trigonometric function of k. ``quantum_grover_report`` covers
-quantum ``grover`` and ``reflection_report`` every ``reflect`` run. Only
-``random`` runs simulate the dense sector coordinates, with `run_search` on
-a `random_schedule`.
+before it enumerates a sector. Both symmetric strategies take an exact
+closed-form report at every N, in O(k) time and memory and without
+enumerating a sector: from the uniform start every marked trajectory is a
+rotation in a two-dimensional plane and the oracle-free control never moves,
+so each measure is a trigonometric function of k. ``quantum_grover_report``
+covers quantum ``grover`` and ``reflection_report`` every ``reflect`` run.
+Only ``random`` runs simulate the dense sector coordinates, with
+`run_search` on a `random_schedule`.
 """
 
 from __future__ import annotations
@@ -40,12 +40,8 @@ from .models import (
     NumericError,
     _check_state,
     build_model,
-    descriptor_from_spec,
     haar_orthogonal,
-    layout_dim,
-    model_order,
     sign_flip_oracle,
-    uniform_block_weights,
 )
 from .subsets import EnumerationLimitError
 
@@ -350,7 +346,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     ``success`` is a read-only broadcast view of shape ``(k_max + 1, N)``, so
     time and memory are O(k) whatever N is.
     """
-    model_order("quantum", n_items)
+    model = build_model("quantum", n_items)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
@@ -369,9 +365,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     )
     divergence = 2.0 * n * turn_sq
     gap_with = 2.0 * n * np.cos(theta + turn) ** 2
-    return _symmetric_report(
-        "quantum", n, 2, "grover", per_item, divergence, gap_with, 2.0 * (n - 1)
-    )
+    return _symmetric_report(model, "grover", per_item, divergence, gap_with, 2.0 * (n - 1))
 
 
 def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> ProgressReport:
@@ -383,7 +377,7 @@ def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> Progre
     and turns by ``2 phi`` per query, ``sin^2 phi = beta / sigma`` (Boyer,
     Brassard, Hoyer, Tapp, arXiv quant-ph/9605034). Here ``sigma = <s, s>``
     and ``beta = |P_x s|^2`` are binomial counts of the uniform state's block
-    weights (`uniform_block_weights`); the oracle-free control stays at s,
+    weights (`Model.block_weights`); the oracle-free control stays at s,
     which the step fixes. The target lies in x's singleton block, which no
     oracle flips, and overlaps s by ``s_x = 1/N``:
 
@@ -396,11 +390,11 @@ def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> Progre
     gives a relabelled copy of one trajectory and each sum over the N items
     is N times one term. Time and memory are O(k) whatever N is.
     """
-    order = model_order(kind, n_items, order)
+    model = build_model(kind, n_items, order)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
-    weights = uniform_block_weights(kind, n, order)
+    weights = model.block_weights
     sigma = sum(math.comb(n, size) * w for size, w in weights.items())
     # the oracle for x flips the sectors of size >= 2 that contain x
     beta = sum(math.comb(n - 1, size - 1) * w for size, w in weights.items() if size > 1)
@@ -415,31 +409,29 @@ def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> Progre
     divergence = 4.0 * n * sigma * np.sin(ks * phi) ** 2
     gap_with = n * (sigma + 1.0 - 2.0 * per_item)
     gap_without = n * (sigma + 1.0 - 2.0 * start)
-    return _symmetric_report(
-        kind, n, order, "reflect", per_item, divergence, gap_with, gap_without
-    )
+    return _symmetric_report(model, "reflect", per_item, divergence, gap_with, gap_without)
 
 
 def _symmetric_report(
-    kind: str, n_items: int, order: int, strategy: str, per_item: np.ndarray,
+    model: Model, strategy: str, per_item: np.ndarray,
     divergence: np.ndarray, gap_with: np.ndarray, gap_without: float,
 ) -> ProgressReport:
     """A closed-form report: the N marked trajectories are relabelled copies
     of one and the control's gap never changes. ``success`` is a read-only
     broadcast view of ``per_item``, so memory is O(k) at any N."""
-    steps = per_item.shape[0]
+    steps, n = per_item.shape[0], model.n_slits
     return ProgressReport(
-        descriptor=descriptor_from_spec(kind, n_items, order),
+        descriptor=model.descriptor(),
         strategy=strategy,
         seed=None,
-        n_slits=n_items,
-        order=order,
-        marked=range(n_items),
+        n_slits=n,
+        order=model.order,
+        marked=range(n),
         k=np.arange(steps),
         divergence=divergence,
         gap_with_oracle=gap_with,
         gap_without_oracle=np.full(steps, gap_without),
-        success=np.broadcast_to(per_item[:, None], (steps, n_items)),
+        success=np.broadcast_to(per_item[:, None], (steps, n)),
         success_mean=per_item,
         success_min=per_item,
     )
@@ -471,21 +463,21 @@ def run_experiment(
 ) -> ProgressReport:
     """The report of one search experiment, from its spec alone.
 
-    ``kind`` and ``order`` pick the model (see `model_order`); ``strategy``
+    ``kind`` and ``order`` pick the model (see `build_model`); ``strategy``
     defaults to the family's standard schedule, ``seed`` seeds a random one
     and ``k_max`` defaults to `default_k_max`, resolved once N is known to be
-    valid. The whole spec is checked before anything is built: the model
-    spec, the strategy (``grover`` is defined on the quantum model only),
-    the size of a dense run and ``k_max``. Every ``reflect`` run and every
-    quantum ``grover`` run takes its exact closed form at every N and builds
-    no model, so it has no step for ``tol`` to check; only ``random`` runs
-    simulate the dense sector coordinates, and one past `MAX_DENSE_ENTRIES`
-    is refused with `EnumerationLimitError` before any sector is enumerated,
-    as is a report whose per-k arrays would pass it.
+    valid. The whole spec is checked before any sector is enumerated: the
+    model spec (by building the model), the strategy (``grover`` is defined
+    on the quantum model only), the size of a dense run and ``k_max``. Every
+    ``reflect`` run and every quantum ``grover`` run takes its exact closed
+    form at every N, so it has no step for ``tol`` to check; only ``random``
+    runs simulate the dense sector coordinates, and one past
+    `MAX_DENSE_ENTRIES` is refused with `EnumerationLimitError`, as is a
+    report whose per-k arrays would pass it.
     """
     if strategy is None:
         strategy = default_strategy(kind)
-    order = model_order(kind, n_items, order)
+    model = build_model(kind, n_items, order)
     if k_max is None:
         k_max = default_k_max(n_items)
     if strategy not in ("grover", "reflect", "random"):
@@ -493,10 +485,10 @@ def run_experiment(
     if strategy == "grover" and kind != "quantum":
         raise ValueError("the grover strategy is defined on the quantum model only")
     if strategy == "random":
-        m_dim = layout_dim(kind, n_items, order)
+        m_dim = model.space.total_dim
         if (n_items + 1) * m_dim > MAX_DENSE_ENTRIES:
             raise EnumerationLimitError(
-                f"a dense random run on {kind} N={n_items} h={order} needs "
+                f"a dense random run on {kind} N={n_items} h={model.order} needs "
                 f"{n_items + 1} x {m_dim} state arrays, past the guard of "
                 f"{MAX_DENSE_ENTRIES} entries"
             )
@@ -510,10 +502,9 @@ def run_experiment(
         )
 
     if strategy == "reflect":
-        return reflection_report(kind, n_items, order, k_max)
+        return reflection_report(kind, n_items, model.order, k_max)
     if strategy == "grover":
         return quantum_grover_report(n_items, k_max)
-    model = build_model(kind, n_items, order)
     return run_search(model, random_schedule(model, seed), k_max, tol=tol)
 
 

@@ -68,6 +68,9 @@ REMOVED_NAMES = [
     "coherence_from_slit_projectors",
     "SignedSubsetCombination",
     "build_sector_space",
+    "layout_dim",
+    "uniform_block_weights",
+    "descriptor_from_spec",
 ]
 
 

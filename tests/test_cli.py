@@ -6,7 +6,7 @@ import time
 import pytest
 
 import hoisearch.cli
-import hoisearch.search
+import hoisearch.models
 from hoisearch.cli import main
 from hoisearch.subsets import EnumerationLimitError, SlitSet
 
@@ -210,11 +210,11 @@ def test_search_rejects_grover_on_classical(capsys):
 
 
 def test_grover_on_a_large_synthetic_model_is_refused_at_once(capsys, monkeypatch):
-    # C(1000, 4) = 4e10 sectors: the strategy is refused before any model is built
-    def no_model(*_args):
-        raise AssertionError("a refused spec built a model")
+    # C(1000, 4) = 4e10 sectors: the strategy is refused before any is enumerated
+    def refuse(*_args):
+        raise AssertionError("a refused spec enumerated a sector")
 
-    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    monkeypatch.setattr(hoisearch.models, "enumerate_sectors", refuse)
     code, out, err = run_cli(
         capsys, "search", "--model", "synthetic", "--n", "1000", "--h", "4",
         "--strategy", "grover",
@@ -305,7 +305,8 @@ def test_sweep_synthetic_defaults_to_order_three(capsys, tmp_path):
 def test_wrong_order_is_a_usage_error_at_every_n(capsys, command, model, n, h):
     code, out, err = run_cli(capsys, command, "--model", model, "--n", n, "--h", h)
     assert code == 2
-    assert f"the {model} model has order" in err
+    fixed = {"classical": 1, "quantum": 2}[model]
+    assert err == f"error: the {model} model has order {fixed}, got order {h}\n"
     assert out == ""
 
 

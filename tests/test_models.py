@@ -6,6 +6,7 @@ algebra is checked as matrix identities, not assumed from the construction.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,18 +19,15 @@ from hoisearch.models import (
     Model,
     build_model,
     classical_model,
-    descriptor_from_spec,
     coherence_projector,
     embed_density,
     haar_orthogonal,
     interference_order,
-    layout_dim,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
     unembed_density,
-    uniform_block_weights,
     coherence_completeness_defect,
     coherence_orthogonality_defects,
 )
@@ -136,10 +134,24 @@ def test_a_model_build_enumerates_the_sectors_once(kind, n, h, monkeypatch):
 
     monkeypatch.setattr(models, "enumerate_sectors", counted)
     space = build_model(kind, n, h).space
+    assert calls == []  # construction counts, it does not enumerate
     # the derived tables all read the one enumeration
     assert space.members.shape == (len(space.sectors), n)
-    assert space.total_dim == layout_dim(kind, n, h)
+    assert space.total_dim == space.owner.size
     assert calls == [(n, h)]
+
+
+def test_no_model_construction_enumerates_a_sector():
+    model = build_model("synthetic", 40, 4)  # 102,340 sectors
+    assert model.space.total_dim == 40 + 780 + 9880 + 91390
+    assert model.block_weights[4] == pytest.approx((1 - 1 / 40) / (780 + 9880 + 91390))
+    assert model.descriptor()["dims_per_size"] == {"1": 1, "2": 1, "3": 1, "4": 1}
+    assert "sectors" not in model.space.__dict__
+    # C(10^9, 4) = 4.2e34 sectors, each one coordinate
+    wide = build_model("synthetic", 10**9, 4)
+    assert wide.space.total_dim == sum(math.comb(10**9, t) for t in range(1, 5))
+    assert wide.block_weights[1] == 1e-18
+    assert "sectors" not in wide.space.__dict__
 
 
 def test_state_vector_validation_and_views():
@@ -226,6 +238,16 @@ def test_a_model_whose_family_and_layout_disagree_is_refused():
     with pytest.raises(ValueError, match="classical layout has block dimensions"):
         build_model("classical", 4, dims_per_size={1: 2})
     assert build_model("quantum", 4, dims_per_size={1: 1, 2: 2}).space.total_dim == 16
+
+
+def test_a_fixed_order_refusal_names_the_order_not_a_flag():
+    # the library is called without flags, so its message says what is wrong
+    with pytest.raises(ValueError) as excinfo:
+        build_model("classical", 4, 3)
+    assert str(excinfo.value) == "the classical model has order 1, got order 3"
+    with pytest.raises(ValueError) as excinfo:
+        Model("quantum", SectorSpace(4, 3, {1: 1, 2: 2, 3: 1}))
+    assert str(excinfo.value) == "the quantum model has order 2, got order 3"
 
 
 def test_uniform_state_is_read_only():
@@ -363,14 +385,15 @@ def test_synthetic_model_full_order_has_full_sector_weight():
     assert full[0] > 0
 
 
-def test_layout_dim_counts_the_built_coordinates():
+def test_total_dim_counts_the_built_coordinates():
     specs = [("classical", n, 1, None) for n in range(1, 10)]
     specs += [("quantum", n, 2, None) for n in range(2, 10)]
     specs += [("synthetic", n, h, None) for n in range(1, 10) for h in range(1, n + 1)]
     specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1}), ("synthetic", 6, 2, {1: 3, 2: 5})]
     for kind, n, h, dims in specs:
-        built = build_model(kind, n, h, dims).space.total_dim
-        assert layout_dim(kind, n, h, dims) == built, (kind, n, h, dims)
+        space = build_model(kind, n, h, dims).space
+        # the count is taken before the sectors are enumerated
+        assert space.total_dim == space.owner.size, (kind, n, h, dims)
 
 
 def test_synthetic_model_order_one_is_classically_mixed():
@@ -384,18 +407,25 @@ def test_basis_states_are_orthonormal_everywhere():
         assert np.array_equal(basis @ basis.T, np.eye(model.n_slits))
 
 
-def test_spec_descriptors_and_block_weights_match_the_built_models():
-    # the closed-form reports describe and weigh the uniform state from the
-    # spec alone; both must agree with the model they never build
+def test_block_weights_and_descriptors_match_the_built_models():
+    # the closed-form reports describe and weigh the uniform state without
+    # enumerating a sector; both must agree with the model's dense layout
     specs = [("classical", n, 1, None) for n in (1, 2, 5)]
     specs += [("quantum", n, 2, None) for n in (2, 3, 6)]
     specs += [("synthetic", n, h, None) for n in (1, 2, 5, 6) for h in range(1, min(n, 4) + 1)]
     specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})]
     for kind, n, h, dims in specs:
         model = build_model(kind, n, h, dims)
-        assert descriptor_from_spec(kind, n, h, dims) == model.descriptor(), (kind, n, h)
-        weights = uniform_block_weights(kind, n, h, dims)
+        assert model.descriptor() == {
+            "kind": kind,
+            "n_slits": n,
+            "order": h,
+            "dims_per_size": {str(t): d for t, d in sorted(model.space.dims_per_size.items())},
+        }, (kind, n, h)
+        weights = model.block_weights
         assert sorted(weights) == list(range(1, h + 1)), (kind, n, h)
+        with pytest.raises(TypeError):
+            weights[1] = 0.0  # one cached mapping is handed to every caller
         for b, sector in enumerate(model.space.sectors):
             block = model.uniform_state[model.space.owner == b]
             assert float(block @ block) == pytest.approx(weights[len(sector)], rel=1e-14, abs=0.0)

@@ -22,6 +22,7 @@ import types
 import numpy as np
 import pytest
 
+import hoisearch.models
 import hoisearch.search
 from hoisearch.models import (
     NumericError,
@@ -371,11 +372,17 @@ def test_fast_path_matches_dense_simulation():
         assert fast.first_peak() == dense.first_peak(), n
 
 
-def test_run_experiment_takes_the_closed_form_at_every_n(monkeypatch):
-    def no_model(*_args):
-        raise AssertionError("a quantum grover run built a model")
+def forbid_sector_enumeration(monkeypatch, what):
+    """Fail the test if anything enumerates a model's sectors, as every dense
+    route does and no model construction may."""
+    def refuse(*_args):
+        raise AssertionError(f"{what} enumerated a sector")
 
-    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    monkeypatch.setattr(hoisearch.models, "enumerate_sectors", refuse)
+
+
+def test_run_experiment_takes_the_closed_form_at_every_n(monkeypatch):
+    forbid_sector_enumeration(monkeypatch, "a quantum grover run")
     for n in range(2, 34):
         assert_reports_equal(
             run_experiment("quantum", n), quantum_grover_report(n, default_k_max(n)), n
@@ -453,10 +460,7 @@ def test_reflection_report_matches_dense_simulation():
 
 
 def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
-    def no_model(*_args):
-        raise AssertionError("a reflect run built a model")
-
-    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    forbid_sector_enumeration(monkeypatch, "a reflect run")
     for kind, n, h in REFLECT_SPECS + [("synthetic", 1000, 3), ("quantum", 1000, 2)]:
         got = run_experiment(kind, n, "reflect", order=h)
         assert_reports_equal(got, reflection_report(kind, n, h, default_k_max(n)), (kind, n, h))
@@ -477,11 +481,9 @@ def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
     ids=["grover-on-synthetic", "unknown-strategy", "negative-k_max"],
 )
 def test_no_spec_error_builds_a_model(monkeypatch, args, kwargs, message):
-    # the whole spec is checked first: synthetic(10^6, 4) alone has 4e22 sectors
-    def no_model(*_args):
-        raise AssertionError("a refused spec built a model")
-
-    monkeypatch.setattr(hoisearch.search, "build_model", no_model)
+    # the whole spec is checked before a model's sectors are enumerated:
+    # synthetic(10^6, 4) alone has 4e22 of them
+    forbid_sector_enumeration(monkeypatch, "a refused spec")
     with pytest.raises(ValueError) as excinfo:
         run_experiment(*args, **kwargs)
     assert str(excinfo.value) == message
@@ -538,7 +540,7 @@ def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
         raise _Admitted
 
     with monkeypatch.context() as patched:
-        for route in ("reflection_report", "quantum_grover_report", "build_model"):
+        for route in ("reflection_report", "quantum_grover_report", "random_schedule"):
             patched.setattr(hoisearch.search, route, admitted)
         for args, kwargs in [
             (("quantum", 64), {"k_max": 10**11}),
