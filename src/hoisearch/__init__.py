@@ -30,7 +30,6 @@ from .models import (
     DEFAULT_TOL,
     Model,
     NumericError,
-    OracleCheck,
     SectorSpace,
     build_model,
     classical_model,
@@ -42,7 +41,6 @@ from .models import (
     slit_projector,
     synthetic_model,
     unembed_density,
-    verify_oracle,
 )
 from .search import (
     LowerBoundCheck,

@@ -28,7 +28,6 @@ from .models import (
     build_model,
     interference_order,
     sign_flip_oracle,
-    verify_oracle,
     coherence_completeness_defect,
     coherence_orthogonality_defects,
 )
@@ -143,10 +142,13 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # (N, h) cell sums the expansions of the C(N, t) sectors of each size
 # t <= h, 2^t terms apiece, at about 5 us a term: the cells of `--n-max 12`
 # (3.85e6 terms) took 16-22 s and those of `--n-max 13` (1.24e7) 62 s. A
-# model cell of M coordinates holds (M, M) oracle matrices and an (S, M)
-# block family: a verify process peaked at 150-156 MiB at M = 1940-2047
-# (`--n 15 --h 4` in 0.8-1.2 s; `--n 11 --h 11`, the largest high-order cell
-# admitted, in 1.5-2.2 s) and at 539-541 MiB at M = 4047 (`--n 18 --h 4`).
+# model cell of M coordinates checks the oracle diagonals and the block
+# layout in O(M + S N) and builds no (M, M) or (S, M) array; its time goes
+# to `interference_order`, one slit projector per subset of size <= h. Run
+# as processes, `--n 15 --h 4` (M = 1940) took 0.31-0.47 s and
+# `--n 11 --h 11` (M = 2047, the largest high-order cell admitted)
+# 0.96-1.02 s, each at 40-41 MiB ru_maxrss, of which 36 MiB is the
+# interpreter and numpy (`--n-max 6`).
 MAX_VERIFY_TERMS = 2**22
 MAX_VERIFY_DIM = 2**11
 
@@ -218,17 +220,14 @@ def _verify_model_cell(model: Model, label: str, tol: float) -> list[tuple[str, 
             f"detected {detected}, built {model.order}",
         )
     )
-    checks = [
-        verify_oracle(model, np.diag(sign_flip_oracle(model, x)), x, tol=tol)
-        for x in (0, model.n_slits - 1)
-    ]
-    worst = max(
-        max(c.fixed_sector_defect, c.commutation_defect, c.orthogonality_defect)
-        for c in checks
-    )
-    rows.append(
-        (f"{label} oracle axioms", all(c.passed for c in checks), f"defect {worst:.2e}")
-    )
+    # the oracle flips exactly the blocks whose sector holds the marked slit
+    # and another slit, a set read from the sectors themselves
+    items = (0, model.n_slits - 1)
+    sectors = model.space.sectors
+    expected = np.array([[-1.0 if x in s and len(s) > 1 else 1.0 for s in sectors] for x in items])
+    flips = sign_flip_oracle(model, items)  # the (2, M) diagonals that run_search applies
+    defect = float(np.max(np.abs(flips - expected[:, model.space.owner])))
+    rows.append((f"{label} oracle axioms", defect < tol, f"defect {defect:.2e}"))
     return rows
 
 

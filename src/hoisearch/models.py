@@ -12,8 +12,10 @@ block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
 N distinguished basis states are unit vectors given by their coordinate
 index (`Model.basis_index`), not stored. Projectors and sign-flip oracles
 are diagonal in these coordinates and are returned as their diagonals, also
-``(M,)`` arrays; only `verify_oracle` takes an ``(M, M)`` matrix. Three
-families are provided:
+``(M,)`` arrays. The block checks read the layout tables in O(M) and build
+no ``(M, M)`` or ``(S, M)`` array; their dense forms, which take any
+candidate matrix or block family, are test references (``tests/reference.py``).
+Three families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
 * quantum (h = 2): N x N density matrices embedded as real vectors, with the
@@ -45,7 +47,6 @@ from .subsets import (
 
 __all__ = [
     "SectorSpace",
-    "OracleCheck",
     "Model",
     "classical_model",
     "quantum_model",
@@ -56,7 +57,6 @@ __all__ = [
     "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
-    "verify_oracle",
     "embed_density",
     "unembed_density",
     "haar_orthogonal",
@@ -256,31 +256,6 @@ class Model:
         }
 
 
-@dataclass(frozen=True)
-class OracleCheck:
-    """Per-condition deviations of a candidate oracle map.
-
-    ``fixed_sector_defect`` covers the sectors the map must leave untouched
-    (marked slit absent, or singleton); ``commutation_defect`` covers
-    commutation with every sector projector; ``orthogonality_defect`` is the
-    norm-preservation proxy.
-    """
-
-    marked: int
-    fixed_sector_defect: float
-    commutation_defect: float
-    orthogonality_defect: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.fixed_sector_defect < self.tol
-            and self.commutation_defect < self.tol
-            and self.orthogonality_defect < self.tol
-        )
-
-
 # ---------------------------------------------------------------------------
 # Space and model construction
 # ---------------------------------------------------------------------------
@@ -418,41 +393,6 @@ def sign_flip_oracle(model: Model, marked: int | Sequence[int]) -> np.ndarray:
     return np.where(flips[..., space.owner], -1.0, 1.0)
 
 
-def verify_oracle(
-    model: Model, candidate: np.ndarray, marked: int, *, tol: float = DEFAULT_TOL
-) -> OracleCheck:
-    """Check a map, given as its (M, M) matrix in sector coordinates, against
-    the search-oracle conditions for one marked item.
-
-    Conditions are checked on the coherence blocks, which span every slit
-    projector: (a) blocks not involving the marked slit, and singleton
-    blocks, must be fixed; (b) the map must commute with every block
-    projector; (c) the map must preserve the norm (orthogonality).
-    """
-    space = model.space
-    m = space.total_dim
-    mat = np.asarray(candidate, dtype=float)
-    if mat.shape != (m, m):
-        raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
-    fixed = np.flatnonzero(sign_flip_oracle(model, marked) > 0)
-    owner = space.owner
-    # the commutator with a block projector is exactly the entries that join
-    # that block to another, so the worst block's is the largest such entry
-    commute_defect = np.max(np.abs(mat), where=owner[:, None] != owner[None, :], initial=0.0)
-    moved = mat[:, fixed]
-    moved[fixed, np.arange(fixed.size)] -= 1.0
-    fix_defect = np.max(np.abs(moved), initial=0.0)
-    gram = mat.T @ mat
-    gram.flat[:: m + 1] -= 1.0
-    return OracleCheck(
-        marked=marked,
-        fixed_sector_defect=float(fix_defect),
-        commutation_defect=float(commute_defect),
-        orthogonality_defect=float(np.max(np.abs(gram))),
-        tol=tol,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quantum embedding
 # ---------------------------------------------------------------------------
@@ -530,56 +470,38 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
-def _projector_family(model: Model, projectors: np.ndarray | None) -> np.ndarray:
-    """The (S, M) stack of block diagonals, one row per sector."""
-    if projectors is None:
-        space = model.space
-        return (space.owner == np.arange(len(space.sectors))[:, None]).astype(float)
-    family = np.asarray(projectors, dtype=float)
-    expected = (len(model.space.sectors), model.space.total_dim)
-    if family.shape != expected:
-        raise ValueError(
-            f"expected {expected[0]} projectors of {expected[1]} coordinates, "
-            f"got shape {family.shape}"
-        )
-    return family
+def coherence_completeness_defect(model: Model) -> float:
+    """Largest gap between a coherence block's coordinate count, read from
+    `SectorSpace.owner`, and the width ``dims_per_size[t]`` that its sector
+    size t, read from `SectorSpace.members`, sets.
 
-
-def coherence_completeness_defect(
-    model: Model, projectors: np.ndarray | None = None
-) -> float:
-    """Max-abs deviation of the summed coherence blocks from the identity.
-
-    ``projectors`` is an (S, M) array of block diagonals, one row per sector;
-    the model's own coherence projectors by default.
+    The blocks sum to the identity exactly when every coordinate has one
+    block and every block its width, so 0 means complete.
     """
-    family = _projector_family(model, projectors)
-    return float(np.max(np.abs(family.sum(axis=0) - 1.0)))
+    space = model.space
+    counts = np.bincount(space.owner, minlength=len(space.sectors))
+    widths = np.array([0, *(space.dims_per_size[t] for t in range(1, space.order + 1))])
+    return float(np.max(np.abs(counts - widths[space.members.sum(axis=1)])))
 
 
-def coherence_orthogonality_defects(
-    model: Model, projectors: np.ndarray | None = None
-) -> tuple[float, float]:
+def coherence_orthogonality_defects(model: Model) -> tuple[float, float]:
     """(pairwise product defect, Pythagoras defect) of the coherence blocks.
 
-    ``projectors`` is as in `coherence_completeness_defect`. The first number
-    is the largest entry of ``w_i w_j - delta_ij w_i`` over all block pairs;
-    the second is the largest deviation of the blockwise norm-squared sum
-    from the total, over 100 seeded random vectors.
+    The first number is the largest entry of ``w_i w_j - delta_ij w_i`` over
+    all block pairs, for the blocks' diagonals w; the second is the largest
+    deviation of the blockwise norm-squared sum from the total, over 100
+    seeded random vectors, each block's share summed over its coordinates.
     """
-    diags = _projector_family(model, projectors)
-    vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
-    # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
-    # diagonal it is the two largest |w| at a coordinate multiplied, the same
-    # float as the largest rounded product since |a b| = |a| |b| and rounding
-    # is monotone; a NaN entry makes both terms NaN
-    pair_defect = np.max(np.abs(diags * diags - diags))
-    if len(diags) > 1:
-        top = np.partition(np.abs(diags), -2, axis=0)[-2:]
-        pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
-    block_sq = (vecs**2) @ (diags**2).T  # (vectors, S)
-    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1))))
-    return float(pair_defect), pyth_defect
+    # each block's diagonal is the 0/1 indicator of the coordinates `owner`
+    # gives it, and `owner` gives every coordinate exactly one block, so
+    # w_i^2 = w_i and w_i w_j = 0 (i != j) hold exactly: no product to form
+    pair_defect = 0.0
+    owner = model.space.owner
+    sq = np.random.default_rng(20240).standard_normal((100, owner.size)) ** 2
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # the blocks are contiguous
+    block_sq = np.add.reduceat(sq, starts, axis=1)  # (vectors, blocks)
+    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - sq.sum(axis=1))))
+    return pair_defect, pyth_defect
 
 
 def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:

@@ -17,6 +17,11 @@ quantity by a second, literal route:
   coherence block from its inclusion-exclusion expansion over slit
   projectors, and `formal_sum` adds such subset -> coefficient expansions
   term by term;
+* `verify_oracle` checks a candidate oracle given as its (M, M) matrix
+  against the oracle axioms, with the Gram product for orthogonality, and
+  `dense_completeness_defect` / `dense_orthogonality_defects` check an
+  (S, M) family of block diagonals (`projector_family`), which may be any
+  array: the dense forms of `hoisearch verify`'s structured rows;
 * `exact_reflection_fields` and `exact_grover_fields` compute the fields of
   the two closed-form reports in exact rational arithmetic, from Chebyshev
   recurrences in the rational cosine of the rotation angle.
@@ -24,6 +29,7 @@ quantity by a second, literal route:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping
@@ -31,6 +37,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from hoisearch.models import (
+    DEFAULT_TOL,
     Model,
     SectorSpace,
     _embed,
@@ -153,6 +160,118 @@ def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:
     for subset, coeff in expansion.items():
         diag += coeff * slit_projector(model, subset)
     return diag
+
+
+@dataclass(frozen=True)
+class OracleCheck:
+    """Per-condition deviations of a candidate oracle map.
+
+    ``fixed_sector_defect`` covers the sectors the map must leave untouched
+    (marked slit absent, or singleton); ``commutation_defect`` covers
+    commutation with every sector projector; ``orthogonality_defect`` is the
+    norm-preservation proxy.
+    """
+
+    marked: int
+    fixed_sector_defect: float
+    commutation_defect: float
+    orthogonality_defect: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.fixed_sector_defect < self.tol
+            and self.commutation_defect < self.tol
+            and self.orthogonality_defect < self.tol
+        )
+
+
+def verify_oracle(
+    model: Model, candidate: np.ndarray, marked: int, *, tol: float = DEFAULT_TOL
+) -> OracleCheck:
+    """Check a map, given as its (M, M) matrix in sector coordinates, against
+    the search-oracle conditions for one marked item.
+
+    Conditions are checked on the coherence blocks, which span every slit
+    projector: (a) blocks not involving the marked slit, and singleton
+    blocks, must be fixed; (b) the map must commute with every block
+    projector; (c) the map must preserve the norm (orthogonality). The
+    fixed blocks are read from the sectors, not from any oracle.
+    """
+    space = model.space
+    m = space.total_dim
+    if not 0 <= marked < space.n_slits:
+        raise ValueError(f"marked item {marked} out of range 0..{space.n_slits - 1}")
+    mat = np.asarray(candidate, dtype=float)
+    if mat.shape != (m, m):
+        raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
+    fixed_blocks = np.array([marked not in s or len(s) == 1 for s in space.sectors])
+    fixed = np.flatnonzero(fixed_blocks[space.owner])
+    owner = space.owner
+    # the commutator with a block projector is exactly the entries that join
+    # that block to another, so the worst block's is the largest such entry
+    commute_defect = np.max(np.abs(mat), where=owner[:, None] != owner[None, :], initial=0.0)
+    moved = mat[:, fixed]
+    moved[fixed, np.arange(fixed.size)] -= 1.0
+    fix_defect = np.max(np.abs(moved), initial=0.0)
+    gram = mat.T @ mat
+    gram.flat[:: m + 1] -= 1.0
+    return OracleCheck(
+        marked=marked,
+        fixed_sector_defect=float(fix_defect),
+        commutation_defect=float(commute_defect),
+        orthogonality_defect=float(np.max(np.abs(gram))),
+        tol=tol,
+    )
+
+
+def projector_family(model: Model, projectors: np.ndarray | None = None) -> np.ndarray:
+    """The (S, M) stack of block diagonals, one row per sector: the model's
+    own coherence projectors by default, else ``projectors`` after a shape check."""
+    if projectors is None:
+        space = model.space
+        return (space.owner == np.arange(len(space.sectors))[:, None]).astype(float)
+    family = np.asarray(projectors, dtype=float)
+    expected = (len(model.space.sectors), model.space.total_dim)
+    if family.shape != expected:
+        raise ValueError(
+            f"expected {expected[0]} projectors of {expected[1]} coordinates, "
+            f"got shape {family.shape}"
+        )
+    return family
+
+
+def dense_completeness_defect(model: Model, projectors: np.ndarray | None = None) -> float:
+    """Max-abs deviation of the summed coherence blocks from the identity,
+    for the family `projector_family` gives."""
+    family = projector_family(model, projectors)
+    return float(np.max(np.abs(family.sum(axis=0) - 1.0)))
+
+
+def dense_orthogonality_defects(
+    model: Model, projectors: np.ndarray | None = None
+) -> tuple[float, float]:
+    """(pairwise product defect, Pythagoras defect) of the family
+    `projector_family` gives.
+
+    The first number is the largest entry of ``w_i w_j - delta_ij w_i`` over
+    all block pairs; the second is the largest deviation of the blockwise
+    norm-squared sum from the total, over 100 seeded random vectors.
+    """
+    diags = projector_family(model, projectors)
+    vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
+    # max |w_i w_j - delta_ij w_i| without the (S, S, M) products: off the
+    # diagonal it is the two largest |w| at a coordinate multiplied, the same
+    # float as the largest rounded product since |a b| = |a| |b| and rounding
+    # is monotone; a NaN entry makes both terms NaN
+    pair_defect = np.max(np.abs(diags * diags - diags))
+    if len(diags) > 1:
+        top = np.partition(np.abs(diags), -2, axis=0)[-2:]
+        pair_defect = np.maximum(pair_defect, np.max(top[0] * top[1]))
+    block_sq = (vecs**2) @ (diags**2).T  # (vectors, S)
+    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - (vecs**2).sum(axis=1))))
+    return float(pair_defect), pyth_defect
 
 
 def _chebyshev(c: Fraction, first: Fraction, count: int) -> list[Fraction]:

@@ -2,13 +2,25 @@
 
 import json
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import hoisearch.cli
 import hoisearch.models
 from hoisearch.cli import main
+from hoisearch.models import (
+    DEFAULT_TOL,
+    SectorSpace,
+    build_model,
+    classical_model,
+    quantum_model,
+    synthetic_model,
+)
 from hoisearch.subsets import EnumerationLimitError, SlitSet
+
+from reference import dense_completeness_defect, dense_orthogonality_defects, verify_oracle
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +50,111 @@ def test_verify_reports_a_failing_model_check(capsys, monkeypatch):
         for row in failed:
             assert " completeness " in row and row.endswith("  FAIL  defect 1.00e-03"), row
         assert out.endswith("verify: CHECKS FAILED\n")
+
+
+def _wrong_oracle(case):
+    """`sign_flip_oracle` with one fault, for one marked item or a batch:
+    it also flips the marked singleton block, flips a multi-slit block
+    without the marked slit, or flips nothing."""
+    right = hoisearch.models.sign_flip_oracle
+
+    def oracle(model, marked):
+        diag = np.array(right(model, marked))
+        space = model.space
+        for row, x in zip(diag.reshape(-1, space.total_dim), np.ravel(marked)):
+            if case == "singleton":
+                row[space.owner == space.sectors.index(SlitSet((x,), model.n_slits))] = -1.0
+            elif case == "unmarked":
+                lacking = [b for b, s in enumerate(space.sectors) if len(s) > 1 and x not in s]
+                if lacking:
+                    row[space.owner == lacking[0]] *= -1.0
+            else:
+                row[:] = 1.0
+        return diag
+
+    return oracle
+
+
+@pytest.mark.parametrize("case", ["singleton", "unmarked", "none"])
+def test_verify_reports_a_wrong_oracle(capsys, monkeypatch, case):
+    # the flip set is read from the sectors, not from the oracle under test
+    oracle = _wrong_oracle(case)
+    monkeypatch.setattr(hoisearch.models, "sign_flip_oracle", oracle)
+    monkeypatch.setattr(hoisearch.cli, "sign_flip_oracle", oracle)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+    assert code == 1
+    failed = [line.split("  ")[0] for line in out.splitlines() if "  FAIL  " in line]
+    assert "quantum N=4 oracle axioms" in failed
+    assert all(name.endswith(" oracle axioms") for name in failed), failed
+    assert out.endswith("verify: CHECKS FAILED\n")
+
+
+def test_verify_reports_a_coordinate_moved_to_the_next_block(capsys, monkeypatch):
+    layout = SectorSpace.__dict__["owner"].func
+
+    def moved(space):
+        owner = layout(space).copy()
+        if len(space.sectors) > 1:
+            owner[space.dims_per_size[1] - 1] += 1  # block 0's last coordinate joins block 1
+        return owner
+
+    monkeypatch.setattr(SectorSpace, "owner", property(moved))
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+    assert code == 1
+    rows = [line for line in out.splitlines() if " completeness " in line]
+    assert len(rows) == 10
+    assert rows[0].startswith("classical N=1 completeness") and "  pass  " in rows[0]
+    for row in rows[1:]:
+        assert row.endswith("  FAIL  defect 1.00e+00"), row
+
+
+WIDE = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+
+
+@pytest.mark.parametrize(
+    "model",
+    [classical_model(4), quantum_model(4), synthetic_model(4, 4), WIDE],
+    ids=["classical", "quantum", "synthetic", "synthetic-wide"],
+)
+def test_verify_model_rows_equal_the_dense_references(model):
+    rows = {name: detail for name, _, detail in hoisearch.cli._verify_model_cell(model, "m", DEFAULT_TOL)}
+    completeness = hoisearch.models.coherence_completeness_defect(model)
+    assert completeness == dense_completeness_defect(model) == 0.0
+    assert rows["m completeness"] == f"defect {completeness:.2e}"
+    pair, pyth = hoisearch.models.coherence_orthogonality_defects(model)
+    dense_pair, dense_pyth = dense_orthogonality_defects(model)
+    assert pair == dense_pair == 0.0
+    if max(model.space.dims_per_size.values()) <= 2:
+        # a block's squares sum in one rounding either way
+        assert pyth == dense_pyth
+    else:
+        # a wider block may sum its squares in another order than the dense
+        # product: 4 ulp of the largest squared norm of the 100 vectors
+        vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
+        assert abs(pyth - dense_pyth) <= 4 * np.spacing(np.max((vecs**2).sum(axis=1)))
+    assert rows["m orthogonality"] == f"pair {pair:.2e}, pythagoras {pyth:.2e}"
+    checks = [
+        verify_oracle(model, np.diag(hoisearch.models.sign_flip_oracle(model, x)), x)
+        for x in (0, model.n_slits - 1)
+    ]
+    worst = max(
+        max(c.fixed_sector_defect, c.commutation_defect, c.orthogonality_defect) for c in checks
+    )
+    assert rows["m oracle axioms"] == f"defect {worst:.2e}" == "defect 0.00e+00"
+
+
+def test_verify_model_cell_builds_no_m_by_m_array():
+    # synthetic(15, 4) has M = S = 1940: one (M, M) or (S, M) float array
+    # alone is 30.1 MB
+    model = build_model("synthetic", 15, 4)
+    tracemalloc.start()
+    try:
+        rows = hoisearch.cli._verify_model_cell(model, "m", DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ok for _, ok, _ in rows)
+    assert peak < 16e6
 
 
 def test_verify_has_no_corrupt_flag(capsys):

@@ -41,6 +41,8 @@ from hoisearch.subsets import SlitSet, enumerate_sectors
 from reference import (
     block_offsets,
     coherence_from_slit_projectors,
+    dense_completeness_defect,
+    dense_orthogonality_defects,
     lift_superoperator,
     lift_unitary_conjugation,
     reflection_schedule,
@@ -562,8 +564,8 @@ def test_corrupted_projectors_fail_verification():
     # block 0 leaks onto coordinate 3, which belongs to another block
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[0, 3] = 1e-3
-    assert not coherence_completeness_defect(model, family) < DEFAULT_TOL
-    pair, pyth = coherence_orthogonality_defects(model, family)
+    assert not dense_completeness_defect(model, family) < DEFAULT_TOL
+    pair, pyth = dense_orthogonality_defects(model, family)
     assert pair > 1e-9
     assert not (pair < DEFAULT_TOL and pyth < DEFAULT_TOL)
 
@@ -573,15 +575,16 @@ def test_projector_family_of_the_wrong_shape_is_rejected():
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     for bad in (family[:-1], family[:, :-1], family[0]):
         with pytest.raises(ValueError, match="projectors of 9 coordinates"):
-            coherence_completeness_defect(model, bad)
+            dense_completeness_defect(model, bad)
         with pytest.raises(ValueError, match="projectors of 9 coordinates"):
-            coherence_orthogonality_defects(model, bad)
+            dense_orthogonality_defects(model, bad)
 
 
 def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=20240):
-    """Reference `coherence_orthogonality_defects` for a diagonal family,
-    through the (S, S, M) tensor of every product w_i w_j, against which the
-    O(S M) version must be exact."""
+    """Orthogonality defects of a diagonal family through the (S, S, M)
+    tensor of every product w_i w_j, against which the O(S M) reference
+    `dense_orthogonality_defects` and, on blocks at most 2 coordinates wide,
+    the O(M) `coherence_orthogonality_defects` must be exact."""
     m = model.space.total_dim
     diags = np.asarray(family)
     prod = diags[:, None, :] * diags[None, :, :]
@@ -617,27 +620,27 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     m = model.space.total_dim
     for scale in (1.0, 1e-3, 1e3):
         family = np.stack([scale * rng.standard_normal(m) for _ in model.space.sectors])
-        got = coherence_orthogonality_defects(model, family)
+        got = dense_orthogonality_defects(model, family)
         assert got == product_tensor_orthogonality_defects(model, family)
         assert got[0] > 0
     # entries just below 1: w_i^2 - w_i is small, so the product of two
     # different blocks sets the defect
     diags = rng.uniform(0.9, 1.0, size=(len(model.space.sectors), m))
     family = diags
-    got = coherence_orthogonality_defects(model, family)
+    got = dense_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
     assert got[0] > np.max(np.abs(diags * diags - diags))
     # two blocks that are the same projector overlap by exactly 1
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[1] = family[0]
-    got = coherence_orthogonality_defects(model, family)
+    got = dense_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
     assert got[0] == 1.0
     assert not (got[0] < DEFAULT_TOL and got[1] < DEFAULT_TOL)
     # a single sector: the diagonal term alone
     single = classical_model(1)
     family = np.array([[-0.5]])
-    got = coherence_orthogonality_defects(single, family)
+    got = dense_orthogonality_defects(single, family)
     assert got == product_tensor_orthogonality_defects(single, family)
     assert got[0] == 0.75
 
@@ -646,7 +649,7 @@ def test_orthogonality_defect_with_a_nan_fails():
     model = quantum_model(3)
     family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
     family[2, 1] = np.nan
-    pair, pyth = coherence_orthogonality_defects(model, family)
+    pair, pyth = dense_orthogonality_defects(model, family)
     assert np.isnan(pair)
     assert not (pair < DEFAULT_TOL and pyth < DEFAULT_TOL)
 

@@ -10,12 +10,11 @@ from hoisearch.models import (
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
-    verify_oracle,
 )
 from hoisearch.search import oracle_displacement
 from hoisearch.subsets import SlitSet
 
-from reference import lift_unitary_conjugation
+from reference import lift_unitary_conjugation, verify_oracle
 
 
 def s(members, universe):
