@@ -29,7 +29,7 @@ from .models import (
     interference_order,
     sign_flip_oracle,
     coherence_completeness_defect,
-    coherence_orthogonality_defects,
+    coherence_layout_defect,
 )
 from .search import (
     check_lower_bound,
@@ -123,13 +123,11 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
     if not args.out:
         return
     config = _config_dict(args)
-    if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        if args.format == "csv":
             writer_csv(fh, config)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(to_json(config))
-            fh.write("\n")
+        else:
+            fh.write(to_json(config) + "\n")
     print(f"wrote {args.format} to {args.out}")
 
 
@@ -145,10 +143,10 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # model cell of M coordinates checks the oracle diagonals and the block
 # layout in O(M + S N) and builds no (M, M) or (S, M) array; its time goes
 # to `interference_order`, one slit projector per subset of size <= h. Run
-# as processes, `--n 15 --h 4` (M = 1940) took 0.31-0.47 s and
-# `--n 11 --h 11` (M = 2047, the largest high-order cell admitted)
-# 0.96-1.02 s, each at 40-41 MiB ru_maxrss, of which 36 MiB is the
-# interpreter and numpy (`--n-max 6`).
+# as processes, `--n 15 --h 4` (M = 1940) took 0.29-0.52 s at 31 MiB
+# ru_maxrss and `--n 11 --h 11` (M = 2047, the largest high-order cell
+# admitted) 0.88-0.96 s at 32 MiB, of which 29 MiB is the interpreter,
+# numpy and the package on import (`--n-max 6` peaks at 30 MiB).
 MAX_VERIFY_TERMS = 2**22
 MAX_VERIFY_DIM = 2**11
 
@@ -204,20 +202,17 @@ def _verify_model_cell(model: Model, label: str, tol: float) -> list[tuple[str, 
     rows = []
     defect = coherence_completeness_defect(model)
     rows.append((f"{label} completeness", defect < tol, f"defect {defect:.2e}"))
-    pair, pyth = coherence_orthogonality_defects(model)
-    rows.append(
-        (
-            f"{label} orthogonality",
-            pair < tol and pyth < tol,
-            f"pair {pair:.2e}, pythagoras {pyth:.2e}",
-        )
-    )
-    detected = interference_order(model, tol=tol)
+    misplaced = coherence_layout_defect(model)
+    rows.append((f"{label} orthogonality", misplaced == 0, f"{misplaced} block runs out of sector order"))
+    try:
+        detected = interference_order(model, tol=tol)
+    except NumericError:
+        detected = None  # no order closes the decomposition: the row fails
     rows.append(
         (
             f"{label} detected order",
             detected == model.order,
-            f"detected {detected}, built {model.order}",
+            f"detected {'none' if detected is None else detected}, built {model.order}",
         )
     )
     # the oracle flips exactly the blocks whose sector holds the marked slit

@@ -61,7 +61,7 @@ __all__ = [
     "unembed_density",
     "haar_orthogonal",
     "coherence_completeness_defect",
-    "coherence_orthogonality_defects",
+    "coherence_layout_defect",
     "interference_order",
     "DEFAULT_TOL",
     "NumericError",
@@ -71,7 +71,8 @@ DEFAULT_TOL = 1e-9
 
 
 class NumericError(ValueError):
-    """A numeric check failed on valid input (a schedule step that is not reversible).
+    """A numeric check failed on valid input (a schedule step that is not
+    reversible, an identity decomposition that never closes).
 
     Subclasses ValueError so that callers catching ValueError keep working.
     """
@@ -470,43 +471,49 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
+def _block_widths(space: SectorSpace) -> np.ndarray:
+    """``(S,)`` width ``dims_per_size[t]`` of each block, its sector size t
+    read from `SectorSpace.members`."""
+    widths = np.array([0, *(space.dims_per_size[t] for t in range(1, space.order + 1))])
+    return widths[space.members.sum(axis=1)]
+
+
 def coherence_completeness_defect(model: Model) -> float:
     """Largest gap between a coherence block's coordinate count, read from
-    `SectorSpace.owner`, and the width ``dims_per_size[t]`` that its sector
-    size t, read from `SectorSpace.members`, sets.
+    `SectorSpace.owner`, and the width its sector size sets.
 
     The blocks sum to the identity exactly when every coordinate has one
     block and every block its width, so 0 means complete.
     """
     space = model.space
     counts = np.bincount(space.owner, minlength=len(space.sectors))
-    widths = np.array([0, *(space.dims_per_size[t] for t in range(1, space.order + 1))])
-    return float(np.max(np.abs(counts - widths[space.members.sum(axis=1)])))
+    return float(np.max(np.abs(counts - _block_widths(space))))
 
 
-def coherence_orthogonality_defects(model: Model) -> tuple[float, float]:
-    """(pairwise product defect, Pythagoras defect) of the coherence blocks.
+def coherence_layout_defect(model: Model) -> int:
+    """Number of runs of `SectorSpace.owner` out of the sector-order layout.
 
-    The first number is the largest entry of ``w_i w_j - delta_ij w_i`` over
-    all block pairs, for the blocks' diagonals w; the second is the largest
-    deviation of the blockwise norm-squared sum from the total, over 100
-    seeded random vectors, each block's share summed over its coordinates.
+    Blocks given by ``owner`` are orthogonal by construction, each the 0/1
+    indicator of its coordinates. What the layout's readers assume
+    (`Model.basis_index`, `Model.uniform_state`, the quantum embedding) is
+    that every block is one contiguous run of its width, in sector order,
+    singletons first: a run is counted when its block does not follow the
+    previous run's or its length is not its block's width. O(M), 0 means in
+    order.
     """
-    # each block's diagonal is the 0/1 indicator of the coordinates `owner`
-    # gives it, and `owner` gives every coordinate exactly one block, so
-    # w_i^2 = w_i and w_i w_j = 0 (i != j) hold exactly: no product to form
-    pair_defect = 0.0
-    owner = model.space.owner
-    sq = np.random.default_rng(20240).standard_normal((100, owner.size)) ** 2
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # the blocks are contiguous
-    block_sq = np.add.reduceat(sq, starts, axis=1)  # (vectors, blocks)
-    pyth_defect = float(np.max(np.abs(block_sq.sum(axis=1) - sq.sum(axis=1))))
-    return pair_defect, pyth_defect
+    space = model.space
+    owner = space.owner
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    blocks = owner[starts]
+    lengths = np.diff(starts, append=owner.size)
+    misplaced = np.diff(blocks, prepend=-1) != 1
+    return int(np.count_nonzero(misplaced | (lengths != _block_widths(space)[blocks])))
 
 
 def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
     """Smallest order at which the identity decomposition over the model's
     slit projectors closes; equals the construction order for healthy models.
+    A decomposition that closes at no order up to N raises `NumericError`.
     """
     space = model.space
     n = space.n_slits
@@ -516,4 +523,4 @@ def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
             diag += coeff * slit_projector(model, subset)
         if float(np.max(np.abs(diag - 1.0))) < tol:
             return candidate
-    raise ValueError("the identity decomposition never closes; corrupt model?")
+    raise NumericError("the identity decomposition never closes; corrupt model?")

@@ -368,8 +368,8 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     return _symmetric_report(model, "grover", per_item, divergence, gap_with, 2.0 * (n - 1))
 
 
-def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> ProgressReport:
-    """Exact report of a ``reflect`` run on a family's model, in O(k).
+def reflection_report(model: Model, k_max: int) -> ProgressReport:
+    """Exact report of a ``reflect`` run on a model, in O(k).
 
     With item x marked the oracle is ``1 - 2 P_x``, P_x the projector onto
     the blocks it flips, and the step reflects about the uniform start s, so
@@ -390,10 +390,9 @@ def reflection_report(kind: str, n_items: int, order: int, k_max: int) -> Progre
     gives a relabelled copy of one trajectory and each sum over the N items
     is N times one term. Time and memory are O(k) whatever N is.
     """
-    model = build_model(kind, n_items, order)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    n = n_items
+    n = model.n_slits
     weights = model.block_weights
     sigma = sum(math.comb(n, size) * w for size, w in weights.items())
     # the oracle for x flips the sectors of size >= 2 that contain x
@@ -502,7 +501,7 @@ def run_experiment(
         )
 
     if strategy == "reflect":
-        return reflection_report(kind, n_items, model.order, k_max)
+        return reflection_report(model, k_max)
     if strategy == "grover":
         return quantum_grover_report(n_items, k_max)
     return run_search(model, random_schedule(model, seed), k_max, tol=tol)
@@ -668,36 +667,73 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header_lines(config: Mapping | None) -> list[str]:
-    lines = [f"# version: hoisearch {__version__}"]
+def _write_csv(
+    fh: TextIO, config: Mapping | None, columns: Sequence[str], rows: Iterable[Mapping],
+    notes: Sequence[str] = (),
+) -> None:
+    """The one CSV layout: a ``# version:`` line, a ``# config:`` line when a
+    config is given, a ``# `` line per note, the column line, then a line per
+    row with every cell through `_fmt`."""
+    fh.write(f"# version: hoisearch {__version__}\n")
     if config is not None:
-        lines.append("# config: " + json.dumps(dict(config), sort_keys=True))
-    return lines
+        fh.write("# config: " + json.dumps(dict(config), sort_keys=True) + "\n")
+    for note in notes:
+        fh.write(f"# {note}\n")
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
+
+def _json_envelope(config: Mapping | None, **fields) -> str:
+    """The one JSON layout: ``version`` and ``config`` beside ``fields``,
+    keys sorted, indented by 2."""
+    payload = {"version": __version__, "config": dict(config) if config is not None else None}
+    return json.dumps({**payload, **fields}, sort_keys=True, indent=2)
 
 
 def report_rows(report: ProgressReport) -> list[dict]:
+    """The rows of one report, keyed by `REPORT_CSV_COLUMNS`, for both formats."""
     mean = report.success_mean
     low = report.success_min
-    rows = []
-    for i, k in enumerate(report.k):
-        rows.append(
-            {
-                "model_kind": report.descriptor["kind"],
-                "N": report.n_slits,
-                "h": report.order,
-                "strategy": report.strategy,
-                "seed": report.seed,
-                "k": int(k),
-                "D_k": float(report.divergence[i]),
-                "upper_4hk2": float(report.upper_bound[i]),
-                "E_k": float(report.gap_with_oracle[i]),
-                "F_k": float(report.gap_without_oracle[i]),
-                "lower_exact": float(report.pair_lower_bound[i]),
-                "success_mean": float(mean[i]),
-                "success_min": float(low[i]),
-            }
-        )
-    return rows
+    return [
+        {
+            "model_kind": report.descriptor["kind"],
+            "N": report.n_slits,
+            "h": report.order,
+            "strategy": report.strategy,
+            "seed": report.seed,
+            "k": int(k),
+            "D_k": float(report.divergence[i]),
+            "upper_4hk2": float(report.upper_bound[i]),
+            "E_k": float(report.gap_with_oracle[i]),
+            "F_k": float(report.gap_without_oracle[i]),
+            "lower_exact": float(report.pair_lower_bound[i]),
+            "success_mean": float(mean[i]),
+            "success_min": float(low[i]),
+        }
+        for i, k in enumerate(report.k)
+    ]
+
+
+def sweep_rows(result: SweepResult) -> list[dict]:
+    """The rows of a sweep, keyed by `SWEEP_CSV_COLUMNS`, for both formats."""
+    return [
+        {
+            "model_kind": row.kind,
+            "N": row.n_slits,
+            "h": row.order,
+            "strategy": row.strategy,
+            "seed": row.seed,
+            "k_star": row.k_star,
+            "k_peak": row.k_peak,
+            "success_at_k_star": row.success_at_k_star,
+            "max_success": row.max_success,
+            "k_max": row.k_max,
+            "floor_sqrt_cN_4h": row.floor,
+            "saturated": row.saturated,
+        }
+        for row in result.rows
+    ]
 
 
 def write_report_csv(
@@ -708,47 +744,14 @@ def write_report_csv(
 ) -> None:
     if isinstance(reports, ProgressReport):
         reports = [reports]
-    for line in _header_lines(config):
-        fh.write(line + "\n")
-    fh.write(",".join(REPORT_CSV_COLUMNS) + "\n")
-    for report in reports:
-        for row in report_rows(report):
-            fh.write(",".join(_fmt(row[c]) for c in REPORT_CSV_COLUMNS) + "\n")
+    rows = (row for report in reports for row in report_rows(report))
+    _write_csv(fh, config, REPORT_CSV_COLUMNS, rows)
 
 
-def sweep_rows(result: SweepResult) -> list[dict]:
-    rows = []
-    for row in result.rows:
-        rows.append(
-            {
-                "model_kind": row.kind,
-                "N": row.n_slits,
-                "h": row.order,
-                "strategy": row.strategy,
-                "seed": row.seed,
-                "k_star": row.k_star,
-                "k_peak": row.k_peak,
-                "success_at_k_star": row.success_at_k_star,
-                "max_success": row.max_success,
-                "k_max": row.k_max,
-                "floor_sqrt_cN_4h": row.floor,
-                "saturated": row.saturated,
-            }
-        )
-    return rows
-
-
-def write_sweep_csv(
-    result: SweepResult, fh: TextIO, *, config: Mapping | None = None
-) -> None:
-    for line in _header_lines(config):
-        fh.write(line + "\n")
-    for stat in ("crossing", "peak"):
-        exp = result.exponent(stat)
-        fh.write(f"# exponent_{stat}: {_fmt(exp) if exp is not None else 'n/a'}\n")
-    fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
-    for row in sweep_rows(result):
-        fh.write(",".join(_fmt(row[c]) for c in SWEEP_CSV_COLUMNS) + "\n")
+def write_sweep_csv(result: SweepResult, fh: TextIO, *, config: Mapping | None = None) -> None:
+    exponents = {stat: result.exponent(stat) for stat in ("crossing", "peak")}
+    notes = [f"exponent_{s}: {'n/a' if e is None else _fmt(e)}" for s, e in exponents.items()]
+    _write_csv(fh, config, SWEEP_CSV_COLUMNS, sweep_rows(result), notes)
 
 
 def reports_to_json(
@@ -758,31 +761,19 @@ def reports_to_json(
 ) -> str:
     if isinstance(reports, ProgressReport):
         reports = [reports]
-    payload = {
-        "version": __version__,
-        "config": dict(config) if config is not None else None,
-        "reports": [
-            {
-                "model": r.descriptor,
-                "strategy": r.strategy,
-                "seed": r.seed,
-                "rows": report_rows(r),
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return _json_envelope(config, reports=[
+        {"model": r.descriptor, "strategy": r.strategy, "seed": r.seed, "rows": report_rows(r)}
+        for r in reports
+    ])
 
 
 def sweep_to_json(result: SweepResult, *, config: Mapping | None = None) -> str:
-    payload = {
-        "version": __version__,
-        "config": dict(config) if config is not None else None,
+    return _json_envelope(
+        config,
         # the success criterion of every crossing (see ProgressReport)
-        "mode": "per-item",
-        "threshold": 0.5,
-        "exponent_crossing": result.exponent("crossing"),
-        "exponent_peak": result.exponent("peak"),
-        "rows": sweep_rows(result),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+        mode="per-item",
+        threshold=0.5,
+        exponent_crossing=result.exponent("crossing"),
+        exponent_peak=result.exponent("peak"),
+        rows=sweep_rows(result),
+    )

@@ -24,18 +24,24 @@ quantity by a second, literal route:
   array: the dense forms of `hoisearch verify`'s structured rows;
 * `exact_reflection_fields` and `exact_grover_fields` compute the fields of
   the two closed-form reports in exact rational arithmetic, from Chebyshev
-  recurrences in the rational cosine of the rotation angle.
+  recurrences in the rational cosine of the rotation angle;
+* `write_report_csv`, `write_sweep_csv`, `reports_to_json` and
+  `sweep_to_json` are the four writers as each spelled out its own header,
+  column line, row loop or JSON envelope, the bytes that the one CSV writer
+  and the one JSON envelope of `hoisearch.search` must reproduce.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TextIO
 
 import numpy as np
 
+from hoisearch._version import __version__
 from hoisearch.models import (
     DEFAULT_TOL,
     Model,
@@ -45,7 +51,13 @@ from hoisearch.models import (
     _unembed,
     slit_projector,
 )
-from hoisearch.search import Schedule
+from hoisearch.search import (
+    REPORT_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    ProgressReport,
+    Schedule,
+    SweepResult,
+)
 from hoisearch.subsets import SlitSet, coherence_expansion
 
 
@@ -328,3 +340,133 @@ def exact_grover_fields(n: int, k_max: int) -> dict[str, list[Fraction]]:
         "gap_with_oracle": [n * (1 + t[2 * k + 1]) for k in range(k_max + 1)],
         "gap_without_oracle": [Fraction(2 * (n - 1))] * (k_max + 1),
     }
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _header_lines(config: Mapping | None) -> list[str]:
+    lines = [f"# version: hoisearch {__version__}"]
+    if config is not None:
+        lines.append("# config: " + json.dumps(dict(config), sort_keys=True))
+    return lines
+
+
+def report_rows(report: ProgressReport) -> list[dict]:
+    mean = report.success_mean
+    low = report.success_min
+    rows = []
+    for i, k in enumerate(report.k):
+        rows.append(
+            {
+                "model_kind": report.descriptor["kind"],
+                "N": report.n_slits,
+                "h": report.order,
+                "strategy": report.strategy,
+                "seed": report.seed,
+                "k": int(k),
+                "D_k": float(report.divergence[i]),
+                "upper_4hk2": float(report.upper_bound[i]),
+                "E_k": float(report.gap_with_oracle[i]),
+                "F_k": float(report.gap_without_oracle[i]),
+                "lower_exact": float(report.pair_lower_bound[i]),
+                "success_mean": float(mean[i]),
+                "success_min": float(low[i]),
+            }
+        )
+    return rows
+
+
+def write_report_csv(
+    reports: ProgressReport | Iterable[ProgressReport],
+    fh: TextIO,
+    *,
+    config: Mapping | None = None,
+) -> None:
+    if isinstance(reports, ProgressReport):
+        reports = [reports]
+    for line in _header_lines(config):
+        fh.write(line + "\n")
+    fh.write(",".join(REPORT_CSV_COLUMNS) + "\n")
+    for report in reports:
+        for row in report_rows(report):
+            fh.write(",".join(_fmt(row[c]) for c in REPORT_CSV_COLUMNS) + "\n")
+
+
+def sweep_rows(result: SweepResult) -> list[dict]:
+    rows = []
+    for row in result.rows:
+        rows.append(
+            {
+                "model_kind": row.kind,
+                "N": row.n_slits,
+                "h": row.order,
+                "strategy": row.strategy,
+                "seed": row.seed,
+                "k_star": row.k_star,
+                "k_peak": row.k_peak,
+                "success_at_k_star": row.success_at_k_star,
+                "max_success": row.max_success,
+                "k_max": row.k_max,
+                "floor_sqrt_cN_4h": row.floor,
+                "saturated": row.saturated,
+            }
+        )
+    return rows
+
+
+def write_sweep_csv(
+    result: SweepResult, fh: TextIO, *, config: Mapping | None = None
+) -> None:
+    for line in _header_lines(config):
+        fh.write(line + "\n")
+    for stat in ("crossing", "peak"):
+        exp = result.exponent(stat)
+        fh.write(f"# exponent_{stat}: {_fmt(exp) if exp is not None else 'n/a'}\n")
+    fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    for row in sweep_rows(result):
+        fh.write(",".join(_fmt(row[c]) for c in SWEEP_CSV_COLUMNS) + "\n")
+
+
+def reports_to_json(
+    reports: ProgressReport | Iterable[ProgressReport],
+    *,
+    config: Mapping | None = None,
+) -> str:
+    if isinstance(reports, ProgressReport):
+        reports = [reports]
+    payload = {
+        "version": __version__,
+        "config": dict(config) if config is not None else None,
+        "reports": [
+            {
+                "model": r.descriptor,
+                "strategy": r.strategy,
+                "seed": r.seed,
+                "rows": report_rows(r),
+            }
+            for r in reports
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def sweep_to_json(result: SweepResult, *, config: Mapping | None = None) -> str:
+    payload = {
+        "version": __version__,
+        "config": dict(config) if config is not None else None,
+        # the success criterion of every crossing (see ProgressReport)
+        "mode": "per-item",
+        "threshold": 0.5,
+        "exponent_crossing": result.exponent("crossing"),
+        "exponent_peak": result.exponent("peak"),
+        "rows": sweep_rows(result),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)

@@ -14,7 +14,8 @@ from hoisearch.cli import main as cli_main
 from hoisearch.models import (
     classical_model,
     coherence_completeness_defect,
-    coherence_orthogonality_defects,
+    coherence_layout_defect,
+    coherence_projector,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -39,7 +40,7 @@ from hoisearch.subsets import (
     signed_pairing_counts,
 )
 
-from reference import formal_sum, grover_schedule, lift_unitary_conjugation
+from reference import dense_orthogonality_defects, formal_sum, grover_schedule, lift_unitary_conjugation
 
 TOL_BLOCKS = 1e-9
 TOL_ORACLE = 1e-10
@@ -98,19 +99,23 @@ def test_criterion_2_coherence_block_suite():
     worst_complete = 0.0
     worst_pair = 0.0
     worst_pyth = 0.0
+    misplaced = 0
     for model in models:
         worst_complete = max(worst_complete, coherence_completeness_defect(model))
-        pair, pyth = coherence_orthogonality_defects(model)
+        misplaced += coherence_layout_defect(model)
+        # the library's own block projectors, multiplied out densely
+        family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+        pair, pyth = dense_orthogonality_defects(model, family)
         worst_pair = max(worst_pair, pair)
         worst_pyth = max(worst_pyth, pyth)
-    ok = max(worst_complete, worst_pair, worst_pyth) < TOL_BLOCKS
+    ok = max(worst_complete, worst_pair, worst_pyth) < TOL_BLOCKS and misplaced == 0
     ok = ok and time.time() - started < 30.0
     _verdict(
         2,
         "coherence block suite",
         ok,
         f"{len(models)} models; defects: completeness {worst_complete:.2e}, "
-        f"pairwise {worst_pair:.2e}, pythagoras {worst_pyth:.2e}",
+        f"pairwise {worst_pair:.2e}, pythagoras {worst_pyth:.2e}; {misplaced} block runs out of order",
         started,
     )
 

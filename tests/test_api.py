@@ -71,6 +71,7 @@ REMOVED_NAMES = [
     "descriptor_from_spec",
     "verify_oracle",
     "OracleCheck",
+    "coherence_orthogonality_defects",
 ]
 
 

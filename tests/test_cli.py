@@ -106,6 +106,46 @@ def test_verify_reports_a_coordinate_moved_to_the_next_block(capsys, monkeypatch
     assert rows[0].startswith("classical N=1 completeness") and "  pass  " in rows[0]
     for row in rows[1:]:
         assert row.endswith("  FAIL  defect 1.00e+00"), row
+    # block 0, one coordinate wide, is gone: the layout opens on a run of
+    # block 1, twice its width
+    rows = [line for line in out.splitlines() if " orthogonality " in line]
+    assert "  pass  0 block runs" in rows[0]
+    for row in rows[1:]:
+        assert row.endswith("  FAIL  1 block runs out of sector order"), row
+
+
+def test_verify_reports_blocks_out_of_sector_order(capsys, monkeypatch):
+    # reversed, every block keeps its width, so completeness, the oracle and
+    # the detected order all pass; the layout that `basis_index` and
+    # `uniform_state` read (singleton blocks first) does not hold
+    layout = SectorSpace.__dict__["owner"].func
+    monkeypatch.setattr(SectorSpace, "owner", property(lambda space: layout(space)[::-1].copy()))
+    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--h", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if "  FAIL  " in line]
+    assert [" ".join(line.split()) for line in failed] == [
+        "synthetic N=5 h=3 orthogonality FAIL 25 block runs out of sector order"
+    ]
+
+
+def test_verify_reports_a_decomposition_that_never_closes(capsys, monkeypatch):
+    # a numeric failure, not a usage error: the detected-order row fails and
+    # every other row is still printed
+    right = hoisearch.models.slit_projector
+    monkeypatch.setattr(hoisearch.models, "slit_projector", lambda model, subset: 0.5 * right(model, subset))
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--h", "2")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split("  ")[0] for line in lines[:-1]] == [
+        "exact identities N=4 h=2",
+        "synthetic N=4 h=2 completeness",
+        "synthetic N=4 h=2 orthogonality",
+        "synthetic N=4 h=2 detected order",
+        "synthetic N=4 h=2 oracle axioms",
+    ]
+    failed = [line for line in lines if "  FAIL  " in line]
+    assert failed == ["synthetic N=4 h=2 detected order  FAIL  detected none, built 2"]
+    assert lines[-1] == "verify: CHECKS FAILED"
 
 
 WIDE = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
@@ -121,18 +161,11 @@ def test_verify_model_rows_equal_the_dense_references(model):
     completeness = hoisearch.models.coherence_completeness_defect(model)
     assert completeness == dense_completeness_defect(model) == 0.0
     assert rows["m completeness"] == f"defect {completeness:.2e}"
-    pair, pyth = hoisearch.models.coherence_orthogonality_defects(model)
-    dense_pair, dense_pyth = dense_orthogonality_defects(model)
-    assert pair == dense_pair == 0.0
-    if max(model.space.dims_per_size.values()) <= 2:
-        # a block's squares sum in one rounding either way
-        assert pyth == dense_pyth
-    else:
-        # a wider block may sum its squares in another order than the dense
-        # product: 4 ulp of the largest squared norm of the 100 vectors
-        vecs = np.random.default_rng(20240).standard_normal((100, model.space.total_dim))
-        assert abs(pyth - dense_pyth) <= 4 * np.spacing(np.max((vecs**2).sum(axis=1)))
-    assert rows["m orthogonality"] == f"pair {pair:.2e}, pythagoras {pyth:.2e}"
+    assert hoisearch.models.coherence_layout_defect(model) == 0
+    assert rows["m orthogonality"] == "0 block runs out of sector order"
+    family = np.stack([hoisearch.models.coherence_projector(model, sec) for sec in model.space.sectors])
+    pair, pyth = dense_orthogonality_defects(model, family)
+    assert pair == 0.0 and pyth < DEFAULT_TOL
     checks = [
         verify_oracle(model, np.diag(hoisearch.models.sign_flip_oracle(model, x)), x)
         for x in (0, model.n_slits - 1)

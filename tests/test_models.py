@@ -29,7 +29,8 @@ from hoisearch.models import (
     synthetic_model,
     unembed_density,
     coherence_completeness_defect,
-    coherence_orthogonality_defects,
+    coherence_layout_defect,
+    NumericError,
 )
 from hoisearch.search import (
     oracle_displacement,
@@ -543,8 +544,40 @@ def test_quantum_triple_coherence_vanishes():
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_coherence_completeness_and_orthogonality(model):
     assert coherence_completeness_defect(model) < DEFAULT_TOL
-    pair, pyth = coherence_orthogonality_defects(model)
-    assert pair < DEFAULT_TOL and pyth < DEFAULT_TOL
+    assert coherence_layout_defect(model) == 0
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    pair, pyth = dense_orthogonality_defects(model, family)
+    assert pair == 0.0 and pyth < DEFAULT_TOL
+
+
+SECTOR_ORDER_LAYOUT = SectorSpace.__dict__["owner"].func
+
+
+def _relaid(monkeypatch, rearrange):
+    """Patch `SectorSpace.owner` to ``rearrange`` of the sector-order layout."""
+    owner = property(lambda space: rearrange(SECTOR_ORDER_LAYOUT(space)))
+    monkeypatch.setattr(SectorSpace, "owner", owner)
+
+
+def test_layout_defect_counts_block_runs_out_of_sector_order(monkeypatch):
+    # reversed, every run is out of order, yet each block keeps its width:
+    # completeness holds and the blocks are still orthogonal indicators
+    _relaid(monkeypatch, lambda owner: owner[::-1].copy())
+    model = synthetic_model(5, 3)
+    assert coherence_layout_defect(model) == len(model.space.sectors) == 25
+    assert coherence_completeness_defect(model) == 0.0
+    # blocks 0 and 1 swapped: neither follows its predecessor, nor does block
+    # 2, which now follows block 0
+    _relaid(monkeypatch, lambda owner: np.where(owner < 2, 1 - owner, owner))
+    assert coherence_layout_defect(synthetic_model(5, 3)) == 3
+    # blocks 0 and 1, two coordinates wide, interleaved: four runs of one
+    # coordinate, all short of their width (and block 0's second run out of order)
+    wide = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+    _relaid(monkeypatch, lambda owner: owner[[0, 2, 1, 3, *range(4, owner.size)]])
+    assert coherence_layout_defect(wide) == 4
+    # block 0's last coordinate moved into block 1: two runs off their widths
+    _relaid(monkeypatch, lambda owner: np.where(np.arange(owner.size) == 1, 1, owner))
+    assert coherence_layout_defect(wide) == 2
 
 
 def test_pythagoras_over_random_vectors():
@@ -583,8 +616,7 @@ def test_projector_family_of_the_wrong_shape_is_rejected():
 def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=20240):
     """Orthogonality defects of a diagonal family through the (S, S, M)
     tensor of every product w_i w_j, against which the O(S M) reference
-    `dense_orthogonality_defects` and, on blocks at most 2 coordinates wide,
-    the O(M) `coherence_orthogonality_defects` must be exact."""
+    `dense_orthogonality_defects` must be exact."""
     m = model.space.total_dim
     diags = np.asarray(family)
     prod = diags[:, None, :] * diags[None, :, :]
@@ -608,8 +640,8 @@ ORTHOGONALITY_MODELS = (
     "model", ORTHOGONALITY_MODELS, ids=lambda m: f"{m.kind}{m.n_slits}-h{m.order}"
 )
 def test_orthogonality_defects_equal_the_product_tensor(model):
-    family = [coherence_projector(model, sec) for sec in model.space.sectors]
-    assert coherence_orthogonality_defects(model) == (
+    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    assert dense_orthogonality_defects(model, family) == (
         product_tensor_orthogonality_defects(model, family)
     )
 
@@ -661,6 +693,13 @@ def test_interference_order_detection():
     for kind, n, h in specs:
         assert interference_order(build_model(kind, n, h)) == h, (kind, n, h)
     assert interference_order(synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})) == 3
+
+
+def test_interference_order_that_never_closes_is_a_numeric_error(monkeypatch):
+    right = models.slit_projector
+    monkeypatch.setattr(models, "slit_projector", lambda model, subset: 0.5 * right(model, subset))
+    with pytest.raises(NumericError, match="never closes"):
+        interference_order(quantum_model(4))
 
 
 # ---------------------------------------------------------------------------

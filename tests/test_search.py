@@ -444,7 +444,7 @@ def test_reflection_report_matches_dense_simulation():
         model = build_model(kind, n, h)
         k_max = default_k_max(n)
         dense = run_search(model, reflection_schedule(model), k_max)
-        fast = reflection_report(kind, n, h, k_max)
+        fast = reflection_report(model, k_max)
         # each dense step is a rank-1 reflection whose length-M dot product
         # rounds with relative error up to M eps, accumulated over the k_max
         # steps; D_k, E_k and F_k are sums of nonnegative terms, so the same
@@ -455,7 +455,7 @@ def test_reflection_report_matches_dense_simulation():
         assert fast.first_peak() == dense.first_peak(), (kind, n, h)
     # at N = 2 success starts exactly on 1/2: the crossing is at k = 0
     for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 1), ("synthetic", 2)):
-        report = reflection_report(kind, 2, h, 4)
+        report = reflection_report(build_model(kind, 2, h), 4)
         assert report.success_min[0] == 0.5 and report.first_crossing() == 0, kind
 
 
@@ -463,11 +463,24 @@ def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
     forbid_sector_enumeration(monkeypatch, "a reflect run")
     for kind, n, h in REFLECT_SPECS + [("synthetic", 1000, 3), ("quantum", 1000, 2)]:
         got = run_experiment(kind, n, "reflect", order=h)
-        assert_reports_equal(got, reflection_report(kind, n, h, default_k_max(n)), (kind, n, h))
+        expected = reflection_report(build_model(kind, n, h), default_k_max(n))
+        assert_reports_equal(got, expected, (kind, n, h))
     # reflect is the default strategy of the classical and synthetic families
     assert_reports_equal(
-        run_experiment("synthetic", 9, order=3), reflection_report("synthetic", 9, 3, 12)
+        run_experiment("synthetic", 9, order=3), reflection_report(build_model("synthetic", 9, 3), 12)
     )
+
+
+def test_run_experiment_builds_a_reflect_model_once(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(hoisearch.search, "build_model", counted)
+    run_experiment("synthetic", 9, "reflect", order=3)
+    assert built == [("synthetic", 9, 3)]
 
 
 @pytest.mark.parametrize(
