@@ -33,7 +33,6 @@ from .models import (
     SectorSpace,
     build_model,
     classical_model,
-    coherence_projector,
     embed_density,
     interference_order,
     quantum_model,

@@ -110,13 +110,7 @@ def _single_seed(text: str, command: str) -> int:
 def _config_dict(args: argparse.Namespace) -> dict:
     # the destination path is not part of the experiment: identical runs
     # written to different files must stay byte-identical
-    skip = {"func", "out"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "out")}
 
 
 def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
@@ -140,9 +134,10 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # (N, h) cell sums the expansions of the C(N, t) sectors of each size
 # t <= h, 2^t terms apiece, at about 5 us a term: the cells of `--n-max 12`
 # (3.85e6 terms) took 16-22 s and those of `--n-max 13` (1.24e7) 62 s. A
-# model cell of M coordinates checks the oracle diagonals and the block
-# layout in O(M + S N) and builds no (M, M) or (S, M) array; its time goes
-# to `interference_order`, one slit projector per subset of size <= h. Run
+# model cell of M coordinates checks the block layout in O(M + S N) and the
+# N oracle diagonals in O(N M), and builds no (M, M) or (S, M) array; its
+# time goes to `interference_order`, one slit projector per subset of size
+# <= h. Run
 # as processes, `--n 15 --h 4` (M = 1940) took 0.29-0.52 s at 31 MiB
 # ru_maxrss and `--n 11 --h 11` (M = 2047, the largest high-order cell
 # admitted) 0.88-0.96 s at 32 MiB, of which 29 MiB is the interpreter,
@@ -204,24 +199,28 @@ def _verify_model_cell(model: Model, label: str, tol: float) -> list[tuple[str, 
     rows.append((f"{label} completeness", defect < tol, f"defect {defect:.2e}"))
     misplaced = coherence_layout_defect(model)
     rows.append((f"{label} orthogonality", misplaced == 0, f"{misplaced} block runs out of sector order"))
+    # the projectors and the oracles index per-block vectors by `owner`: an
+    # entry past the blocks (an IndexError) fails their rows, as a
+    # decomposition that closes at no order does
     try:
         detected = interference_order(model, tol=tol)
-    except NumericError:
-        detected = None  # no order closes the decomposition: the row fails
-    rows.append(
-        (
-            f"{label} detected order",
-            detected == model.order,
-            f"detected {'none' if detected is None else detected}, built {model.order}",
-        )
-    )
-    # the oracle flips exactly the blocks whose sector holds the marked slit
-    # and another slit, a set read from the sectors themselves
-    items = (0, model.n_slits - 1)
-    sectors = model.space.sectors
+    except (NumericError, IndexError):
+        detected = None
+    detail = f"detected {'none' if detected is None else detected}, built {model.order}"
+    rows.append((f"{label} detected order", detected == model.order, detail))
+    # the oracle for item x flips exactly the blocks whose sector holds x and
+    # another slit, a set taken from the subset enumeration, not from the
+    # `members` table that the oracle reads: with every item checked, one
+    # wrong bit of the table fails this row or, leaving a block of no sector
+    # size, the completeness row
+    items = range(model.n_slits)
+    sectors = enumerate_sectors(model.n_slits, model.order)
     expected = np.array([[-1.0 if x in s and len(s) > 1 else 1.0 for s in sectors] for x in items])
-    flips = sign_flip_oracle(model, items)  # the (2, M) diagonals that run_search applies
-    defect = float(np.max(np.abs(flips - expected[:, model.space.owner])))
+    try:
+        flips = sign_flip_oracle(model, items)  # the (N, M) diagonals that run_search applies
+        defect = float(np.max(np.abs(flips - expected[:, model.space.owner])))
+    except IndexError:
+        defect = math.inf
     rows.append((f"{label} oracle axioms", defect < tol, f"defect {defect:.2e}"))
     return rows
 
@@ -274,11 +273,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows.extend(_verify_model_cell(model, label, tol))
 
     width = max(len(r[0]) for r in rows)
-    all_ok = True
     for name, ok, detail in rows:
-        status = "pass" if ok else "FAIL"
-        all_ok = all_ok and ok
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
+    all_ok = all(ok for _, ok, _ in rows)
     print(f"verify: {'all checks passed' if all_ok else 'CHECKS FAILED'}")
     return 0 if all_ok else CHECK_FAILED
 

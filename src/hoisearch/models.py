@@ -4,7 +4,7 @@ A model is a family and a layout: N distinguishable states, an interference
 order h, and one real coordinate block per slit subset of size at most h.
 `build_model` builds every model, and all else a model has is derived: the
 block weights of its uniform state and its coordinate count M without
-enumerating a sector, the sectors themselves on first dense use. Coordinates
+enumerating a sector, the sector tables on first dense use. Coordinates
 are chosen orthonormal for the self-dualising inner product, so the inner
 product is the plain Euclidean dot product, reversible dynamics are exactly
 the orthogonal matrices, and every coherence projector is an axis-aligned
@@ -29,6 +29,7 @@ Three families are provided:
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 import types
@@ -38,12 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .subsets import (
-    EnumerationLimitError,
-    SlitSet,
-    enumerate_sectors,
-    identity_decomposition,
-)
+from .subsets import EnumerationLimitError, SlitSet, identity_decomposition
 
 __all__ = [
     "SectorSpace",
@@ -54,7 +50,6 @@ __all__ = [
     "build_model",
     "model_order",
     "default_dims_per_size",
-    "coherence_projector",
     "slit_projector",
     "sign_flip_oracle",
     "embed_density",
@@ -82,10 +77,10 @@ class NumericError(ValueError):
 class SectorSpace:
     """Coordinate layout of a sector-decomposed state space, fixed by N, the
     order h and the block dimension ``d_t`` of each sector size t <= h. The
-    sectors, each block's coordinates and M are derived from these, so none
-    can disagree with them. Construction checks N, h and that every ``d_t``
-    is an integer >= 1 without enumerating a sector; M is a count, and the
-    sectors and the tables read from them are enumerated on first use."""
+    sector tables and M are derived from these, so none can disagree with
+    them. Construction checks N, h and that every ``d_t`` is an integer >= 1
+    without enumerating a sector; M is a count, and the tables are built on
+    first use."""
 
     n_slits: int
     order: int
@@ -114,11 +109,6 @@ class SectorSpace:
         object.__setattr__(self, "dims_per_size", dims)
 
     @functools.cached_property
-    def sectors(self) -> tuple[SlitSet, ...]:
-        """Every slit set of size at most h, in canonical order (`enumerate_sectors`)."""
-        return tuple(enumerate_sectors(self.n_slits, self.order))
-
-    @functools.cached_property
     def total_dim(self) -> int:
         """M, the number of coordinates: ``sum_t d_t C(N, t)`` over the sector
         sizes t <= h, counted without enumerating a sector."""
@@ -126,22 +116,31 @@ class SectorSpace:
 
     @functools.cached_property
     def owner(self) -> np.ndarray:
-        """Position in `sectors` of the block holding each coordinate, ``(M,)``.
+        """Block holding each coordinate, as a row of `members`, ``(M,)``.
 
         Every block-constant diagonal is an ``(S,)`` per-sector vector indexed
-        by it; the blocks are laid out in sector order, each `dims_per_size` wide.
-        """
-        widths = [self.dims_per_size[len(s)] for s in self.sectors]
-        return np.repeat(np.arange(len(self.sectors)), widths)
+        by it; the blocks are laid out in sector order, the ``C(N, t)`` of size t
+        ``d_t`` wide apiece."""
+        sizes = range(1, self.order + 1)
+        widths = np.repeat([self.dims_per_size[t] for t in sizes], [comb(self.n_slits, t) for t in sizes])
+        return np.repeat(np.arange(widths.size), widths)
 
     @functools.cached_property
     def members(self) -> np.ndarray:
         """``(S, N)`` bool: ``members[b, i]`` is whether block b involves slit
-        i. The oracles, the slit projectors, `oracle_displacement` and the
-        quantum embedding read the blocks' slits from this table alone."""
-        blocks, slits = zip(*((b, i) for b, s in enumerate(self.sectors) for i in s.members))
-        table = np.zeros((len(self.sectors), self.n_slits), dtype=bool)
-        table[blocks, slits] = True
+        i, one size at a time from `itertools.combinations` index arrays, in
+        the sector order of `enumerate_sectors`. The oracles, the slit
+        projectors, `oracle_displacement` and the quantum embedding read the
+        blocks' slits from this table alone."""
+        n = self.n_slits
+        counts = [comb(n, size) for size in range(1, self.order + 1)]
+        table = np.zeros((sum(counts), n), dtype=bool)
+        start = 0
+        for size, count in enumerate(counts, 1):
+            combos = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+            slits = np.fromiter(combos, dtype=np.intp, count=count * size)
+            table[np.arange(start, start + count).repeat(size), slits] = True
+            start += count
         table.flags.writeable = False  # shared by every caller of the cached table
         return table
 
@@ -150,10 +149,10 @@ class SectorSpace:
         """``(diag, rows, cols, pair)`` of a quantum layout: rho_ii sits at
         coordinate ``diag[i]``; for the p-th pair ``rows[p] < cols[p]`` the
         sqrt(2)-scaled Re and Im parts sit at ``pair[p]`` and ``pair[p] + 1``.
-        Sectors come singletons first, in slit order (`enumerate_sectors`).
+        Sectors come singletons first, in slit order (`members`).
         """
         n = self.n_slits
-        starts = np.searchsorted(self.owner, np.arange(len(self.sectors)))
+        starts = np.searchsorted(self.owner, np.arange(len(self.members)))
         rows, cols = np.nonzero(self.members[n:])[1].reshape(-1, 2).T
         return starts[:n], rows, cols, starts[n:]
 
@@ -346,14 +345,6 @@ def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
 # Projectors and oracles
 # ---------------------------------------------------------------------------
 
-def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
-    """Orthogonal projector onto one coherence block: 1 on the block, 0 elsewhere."""
-    space = model.space
-    if sector not in space.sectors:
-        raise ValueError(f"unknown sector {sector!r} for this space")
-    return (space.owner == space.sectors.index(sector)).astype(float)
-
-
 def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
     """Projector implementing "block every slit outside this subset".
 
@@ -473,8 +464,10 @@ def haar_orthogonal(dim: int, rng: np.random.Generator, cols: int | None = None)
 
 def _block_widths(space: SectorSpace) -> np.ndarray:
     """``(S,)`` width ``dims_per_size[t]`` of each block, its sector size t
-    read from `SectorSpace.members`."""
-    widths = np.array([0, *(space.dims_per_size[t] for t in range(1, space.order + 1))])
+    read from `SectorSpace.members`; 0 for a row of no sector size (none, or
+    more than h slits)."""
+    widths = np.zeros(space.n_slits + 1, dtype=np.intp)
+    widths[1:space.order + 1] = [space.dims_per_size[t] for t in range(1, space.order + 1)]
     return widths[space.members.sum(axis=1)]
 
 
@@ -483,11 +476,14 @@ def coherence_completeness_defect(model: Model) -> float:
     `SectorSpace.owner`, and the width its sector size sets.
 
     The blocks sum to the identity exactly when every coordinate has one
-    block and every block its width, so 0 means complete.
+    block and every block its width, so 0 means complete. A coordinate whose
+    ``owner`` entry is outside ``0..S-1`` is in no block, where the sum is 0:
+    a gap of 1.
     """
-    space = model.space
-    counts = np.bincount(space.owner, minlength=len(space.sectors))
-    return float(np.max(np.abs(counts - _block_widths(space))))
+    widths, owner = _block_widths(model.space), model.space.owner
+    known = (owner >= 0) & (owner < widths.size)
+    counts = np.bincount(owner[known], minlength=widths.size)
+    return float(max(np.max(np.abs(counts - widths)), not known.all()))
 
 
 def coherence_layout_defect(model: Model) -> int:
@@ -498,16 +494,16 @@ def coherence_layout_defect(model: Model) -> int:
     (`Model.basis_index`, `Model.uniform_state`, the quantum embedding) is
     that every block is one contiguous run of its width, in sector order,
     singletons first: a run is counted when its block does not follow the
-    previous run's or its length is not its block's width. O(M), 0 means in
-    order.
+    previous run's, is not one of the S blocks, or its length is not its
+    block's width. O(M), 0 means in order.
     """
-    space = model.space
-    owner = space.owner
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    widths, owner = _block_widths(model.space), model.space.owner
+    starts = np.flatnonzero(np.r_[True, np.diff(owner) != 0])
     blocks = owner[starts]
     lengths = np.diff(starts, append=owner.size)
     misplaced = np.diff(blocks, prepend=-1) != 1
-    return int(np.count_nonzero(misplaced | (lengths != _block_widths(space)[blocks])))
+    unknown = (blocks < 0) | (blocks >= widths.size)
+    return int(np.count_nonzero(misplaced | unknown | (lengths != widths.take(blocks, mode="clip"))))
 
 
 def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:

@@ -579,6 +579,7 @@ class SweepRow:
     max_success: float
     k_max: int
     floor: float
+    turned: bool  # 0 < k_peak < k_max, success at k_peak above that at k = 0
 
     @property
     def saturated(self) -> bool:
@@ -591,12 +592,15 @@ class SweepResult:
 
     def exponent(self, statistic: str = "crossing") -> float | None:
         """Log-log slope of the ``"crossing"`` or ``"peak"`` query count against
-        the list size; None unless rows of at least two distinct N have a count >= 1."""
+        the list size; None unless rows of at least two distinct N have a count >= 1.
+        Only rows that turned enter the peak fit: on a series that never falls
+        `k_peak` is ``k_max``, whose default ``ceil(4 sqrt N)`` fits slope 1/2.
+        """
         if statistic not in ("crossing", "peak"):
             raise ValueError(f"unknown statistic {statistic!r}; expected 'crossing' or 'peak'")
         xs, ys = [], []
         for row in self.rows:
-            value = row.k_star if statistic == "crossing" else row.k_peak
+            value = row.k_star if statistic == "crossing" else (row.k_peak if row.turned else None)
             if value is not None and value >= 1:
                 xs.append(math.log(row.n_slits))
                 ys.append(math.log(value))
@@ -634,6 +638,7 @@ def scaling_sweep(
             kind, n_items, strategy, order=order, seed=seed, k_max=k_max, tol=tol
         )
         k_star = report.first_crossing()
+        k_peak = report.first_peak()
         series = report.success_min
         rows.append(
             SweepRow(
@@ -643,11 +648,12 @@ def scaling_sweep(
                 strategy=report.strategy,
                 seed=report.seed,
                 k_star=k_star,
-                k_peak=report.first_peak(),
+                k_peak=k_peak,
                 success_at_k_star=float(series[k_star]) if k_star is not None else None,
                 max_success=float(series.max()),
                 k_max=int(report.k[-1]),
                 floor=scaling_floor(n_items, report.order),
+                turned=bool(0 < k_peak < len(series) - 1 and series[k_peak] > series[0]),
             )
         )
     return SweepResult(rows=rows)

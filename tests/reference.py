@@ -10,8 +10,13 @@ quantity by a second, literal route:
 * `lift_superoperator` and `lift_unitary_conjugation` build the (M, M) matrix
   of a quantum map, one coordinate at a time, and `conjugate_rows` is their
   batch form;
-* `block_offsets` lays the blocks out by cumulative widths in sector order,
-  a second route to `SectorSpace.owner`;
+* `sector_tables` builds `SectorSpace.members` and `SectorSpace.owner` from
+  one `SlitSet` per sector of `enumerate_sectors`, `block_offsets` lays the
+  blocks out by cumulative widths in sector order and `density_index` places
+  the quantum layout's entries by those offsets: second routes to the tables
+  that `SectorSpace` builds from index arrays;
+* `coherence_projector` is one block's `(M,)` indicator, looked up by its
+  sector;
 * `slit_projector_from_subsets` builds a slit projector block by block over
   the open set's subsets, `coherence_from_slit_projectors` builds a
   coherence block from its inclusion-exclusion expansion over slit
@@ -58,7 +63,7 @@ from hoisearch.search import (
     Schedule,
     SweepResult,
 )
-from hoisearch.subsets import SlitSet, coherence_expansion
+from hoisearch.subsets import SlitSet, coherence_expansion, enumerate_sectors
 
 
 def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -133,15 +138,48 @@ def formal_sum(expansions: Iterable[Mapping[SlitSet, int]]) -> dict[SlitSet, int
     return {subset: coeff for subset, coeff in total.items() if coeff}
 
 
+def sector_tables(space: SectorSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``(members, owner)`` of a layout, read from one `SlitSet` per sector:
+    each block's slits, and the block of each coordinate, the blocks
+    ``dims_per_size[len(sector)]`` wide in sector order."""
+    sectors = enumerate_sectors(space.n_slits, space.order)
+    blocks, slits = zip(*((b, i) for b, s in enumerate(sectors) for i in s.members))
+    members = np.zeros((len(sectors), space.n_slits), dtype=bool)
+    members[blocks, slits] = True
+    widths = [space.dims_per_size[len(s)] for s in sectors]
+    return members, np.repeat(np.arange(len(sectors)), widths)
+
+
 def block_offsets(space: SectorSpace) -> dict[SlitSet, int]:
     """First coordinate of each sector's block: the blocks' widths summed in
     sector order. A block is ``dims_per_size[len(sector)]`` coordinates wide."""
     offsets: dict[SlitSet, int] = {}
     total = 0
-    for sector in space.sectors:
+    for sector in enumerate_sectors(space.n_slits, space.order):
         offsets[sector] = total
         total += space.dims_per_size[len(sector)]
     return offsets
+
+
+def density_index(space: SectorSpace) -> tuple[np.ndarray, ...]:
+    """``(diag, rows, cols, pair)`` of `SectorSpace._density_index`, placed by
+    `block_offsets`: the singleton blocks, then the pair blocks in sector order."""
+    offsets = block_offsets(space)
+    pairs = [sector for sector in offsets if len(sector) == 2]
+    return (
+        np.array([offsets[SlitSet((i,), space.n_slits)] for i in range(space.n_slits)]),
+        np.array([sector.members[0] for sector in pairs]),
+        np.array([sector.members[1] for sector in pairs]),
+        np.array([offsets[sector] for sector in pairs]),
+    )
+
+
+def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
+    """Orthogonal projector onto one coherence block: 1 on the block, 0 elsewhere."""
+    sectors = enumerate_sectors(model.n_slits, model.order)
+    if sector not in sectors:
+        raise ValueError(f"unknown sector {sector!r} for this space")
+    return (model.space.owner == sectors.index(sector)).astype(float)
 
 
 def slit_projector_from_subsets(model: Model, open_slits: SlitSet) -> np.ndarray:
@@ -218,7 +256,8 @@ def verify_oracle(
     mat = np.asarray(candidate, dtype=float)
     if mat.shape != (m, m):
         raise ValueError(f"candidate has shape {mat.shape}, expected ({m}, {m})")
-    fixed_blocks = np.array([marked not in s or len(s) == 1 for s in space.sectors])
+    sectors = enumerate_sectors(space.n_slits, space.order)
+    fixed_blocks = np.array([marked not in s or len(s) == 1 for s in sectors])
     fixed = np.flatnonzero(fixed_blocks[space.owner])
     owner = space.owner
     # the commutator with a block projector is exactly the entries that join
@@ -243,9 +282,9 @@ def projector_family(model: Model, projectors: np.ndarray | None = None) -> np.n
     own coherence projectors by default, else ``projectors`` after a shape check."""
     if projectors is None:
         space = model.space
-        return (space.owner == np.arange(len(space.sectors))[:, None]).astype(float)
+        return (space.owner == np.arange(len(space.members))[:, None]).astype(float)
     family = np.asarray(projectors, dtype=float)
-    expected = (len(model.space.sectors), model.space.total_dim)
+    expected = (len(model.space.members), model.space.total_dim)
     if family.shape != expected:
         raise ValueError(
             f"expected {expected[0]} projectors of {expected[1]} coordinates, "

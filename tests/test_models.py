@@ -6,6 +6,7 @@ algebra is checked as matrix identities, not assumed from the construction.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -19,7 +20,6 @@ from hoisearch.models import (
     Model,
     build_model,
     classical_model,
-    coherence_projector,
     embed_density,
     haar_orthogonal,
     interference_order,
@@ -33,8 +33,10 @@ from hoisearch.models import (
     NumericError,
 )
 from hoisearch.search import (
+    check_upper_bound,
     oracle_displacement,
     random_schedule,
+    run_experiment,
     run_search,
 )
 from hoisearch.subsets import SlitSet, enumerate_sectors
@@ -42,11 +44,15 @@ from hoisearch.subsets import SlitSet, enumerate_sectors
 from reference import (
     block_offsets,
     coherence_from_slit_projectors,
+    coherence_projector,
+    density_index,
     dense_completeness_defect,
     dense_orthogonality_defects,
     lift_superoperator,
     lift_unitary_conjugation,
+    projector_family,
     reflection_schedule,
+    sector_tables,
     slit_projector_from_subsets,
 )
 
@@ -81,7 +87,7 @@ def test_build_sector_space_offsets_partition():
     offsets = block_offsets(space)
     seen = np.zeros(space.total_dim, dtype=int)
     owner = np.empty(space.total_dim, dtype=int)
-    for position, sector in enumerate(space.sectors):
+    for position, sector in enumerate(enumerate_sectors(space.n_slits, space.order)):
         sl = slice(offsets[sector], offsets[sector] + space.dims_per_size[len(sector)])
         seen[sl] += 1
         owner[sl] = position
@@ -130,18 +136,55 @@ def test_sector_space_stores_only_n_h_and_block_dims():
 @pytest.mark.parametrize("kind, n, h", [("classical", 4, 1), ("quantum", 4, 2), ("synthetic", 5, 3)])
 def test_a_model_build_enumerates_the_sectors_once(kind, n, h, monkeypatch):
     calls = []
+    combinations = itertools.combinations
 
-    def counted(*args):
-        calls.append(args)
-        return enumerate_sectors(*args)
+    def counted(pool, size):
+        calls.append(size)
+        return combinations(pool, size)
 
-    monkeypatch.setattr(models, "enumerate_sectors", counted)
+    monkeypatch.setattr(itertools, "combinations", counted)
     space = build_model(kind, n, h).space
     assert calls == []  # construction counts, it does not enumerate
-    # the derived tables all read the one enumeration
-    assert space.members.shape == (len(space.sectors), n)
+    # the members table reads one enumeration per sector size, and owner
+    # counts its blocks without one
     assert space.total_dim == space.owner.size
-    assert calls == [(n, h)]
+    assert calls == []
+    assert space.members.shape == (sum(math.comb(n, t) for t in range(1, h + 1)), n)
+    assert space.members is space.members
+    assert calls == list(range(1, h + 1))
+
+
+TABLE_SPECS = (
+    [("classical", n, 1, None) for n in range(1, 11)]
+    + [("quantum", n, 2, None) for n in range(2, 11)]
+    + [("synthetic", n, h, None) for n in range(1, 11) for h in range(1, n + 1)]
+    + [("synthetic", n, 3, {1: 2, 2: 3, 3: 1}) for n in (3, 6, 10)]
+)
+
+
+def test_sector_tables_equal_the_slit_set_route():
+    for kind, n, h, dims in TABLE_SPECS:
+        space = build_model(kind, n, h, dims).space
+        members, owner = sector_tables(space)
+        assert np.array_equal(space.members, members), (kind, n, h, dims)
+        assert np.array_equal(space.owner, owner), (kind, n, h, dims)
+        if kind == "quantum":
+            for got, want in zip(space._density_index, density_index(space), strict=True):
+                assert np.array_equal(got, want), (n, got, want)
+
+
+def test_sector_tables_build_no_slit_set(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a SlitSet was built")
+
+    monkeypatch.setattr(SlitSet, "__post_init__", refuse)
+    for kind, n, h, dims in (("quantum", 8, 2, None), ("synthetic", 9, 4, {1: 2, 2: 1, 3: 3, 4: 1})):
+        space = build_model(kind, n, h, dims).space
+        assert space.members.sum() == sum(t * math.comb(n, t) for t in range(1, h + 1))
+        assert coherence_completeness_defect(Model(kind, space)) == 0.0
+        assert coherence_layout_defect(Model(kind, space)) == 0
+    report = run_experiment("quantum", 8, "random")
+    assert check_upper_bound(report).holds
 
 
 def test_no_model_construction_enumerates_a_sector():
@@ -149,12 +192,12 @@ def test_no_model_construction_enumerates_a_sector():
     assert model.space.total_dim == 40 + 780 + 9880 + 91390
     assert model.block_weights[4] == pytest.approx((1 - 1 / 40) / (780 + 9880 + 91390))
     assert model.descriptor()["dims_per_size"] == {"1": 1, "2": 1, "3": 1, "4": 1}
-    assert "sectors" not in model.space.__dict__
+    assert not {"members", "owner"} & set(model.space.__dict__)
     # C(10^9, 4) = 4.2e34 sectors, each one coordinate
     wide = build_model("synthetic", 10**9, 4)
     assert wide.space.total_dim == sum(math.comb(10**9, t) for t in range(1, 5))
     assert wide.block_weights[1] == 1e-18
-    assert "sectors" not in wide.space.__dict__
+    assert not {"members", "owner"} & set(wide.space.__dict__)
 
 
 def test_state_vector_validation_and_views():
@@ -295,7 +338,8 @@ def test_basis_index_selects_the_unit_basis_states(model):
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_members_table_lists_the_slits_of_each_block(model):
     space = model.space
-    expected = [[i in sector for i in range(model.n_slits)] for sector in space.sectors]
+    sectors = enumerate_sectors(model.n_slits, model.order)
+    expected = [[i in sector for i in range(model.n_slits)] for sector in sectors]
     assert space.members.dtype == bool
     assert not space.members.flags.writeable
     assert np.array_equal(space.members, np.array(expected))
@@ -338,7 +382,7 @@ def test_quantum_embedding_matches_per_entry_reference():
         rho = random_density(n, rng)
         offsets = block_offsets(space)
         coords = np.zeros(space.total_dim)
-        for sector in space.sectors:
+        for sector in enumerate_sectors(space.n_slits, space.order):
             off = offsets[sector]
             if len(sector) == 1:
                 i = sector.members[0]
@@ -349,7 +393,7 @@ def test_quantum_embedding_matches_per_entry_reference():
                 coords[off + 1] = np.sqrt(2.0) * rho[i, j].imag
         assert np.array_equal(embed_density(model, rho), coords), n
         back = np.zeros((n, n), dtype=complex)
-        for sector in space.sectors:
+        for sector in enumerate_sectors(space.n_slits, space.order):
             off = offsets[sector]
             if len(sector) == 1:
                 back[sector.members[0], sector.members[0]] = coords[off]
@@ -429,7 +473,7 @@ def test_block_weights_and_descriptors_match_the_built_models():
         assert sorted(weights) == list(range(1, h + 1)), (kind, n, h)
         with pytest.raises(TypeError):
             weights[1] = 0.0  # one cached mapping is handed to every caller
-        for b, sector in enumerate(model.space.sectors):
+        for b, sector in enumerate(enumerate_sectors(model.n_slits, model.order)):
             block = model.uniform_state[model.space.owner == b]
             assert float(block @ block) == pytest.approx(weights[len(sector)], rel=1e-14, abs=0.0)
 
@@ -481,7 +525,7 @@ def test_coherence_projector_rejects_a_sector_outside_the_layout(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_coherence_projector_matches_formal_expansion(model):
-    for sector in model.space.sectors:
+    for sector in enumerate_sectors(model.n_slits, model.order):
         direct = coherence_projector(model, sector)
         expanded = coherence_from_slit_projectors(model, sector)
         assert np.array_equal(direct, expanded), sector
@@ -545,7 +589,7 @@ def test_quantum_triple_coherence_vanishes():
 def test_coherence_completeness_and_orthogonality(model):
     assert coherence_completeness_defect(model) < DEFAULT_TOL
     assert coherence_layout_defect(model) == 0
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     pair, pyth = dense_orthogonality_defects(model, family)
     assert pair == 0.0 and pyth < DEFAULT_TOL
 
@@ -564,7 +608,7 @@ def test_layout_defect_counts_block_runs_out_of_sector_order(monkeypatch):
     # completeness holds and the blocks are still orthogonal indicators
     _relaid(monkeypatch, lambda owner: owner[::-1].copy())
     model = synthetic_model(5, 3)
-    assert coherence_layout_defect(model) == len(model.space.sectors) == 25
+    assert coherence_layout_defect(model) == len(enumerate_sectors(model.n_slits, model.order)) == 25
     assert coherence_completeness_defect(model) == 0.0
     # blocks 0 and 1 swapped: neither follows its predecessor, nor does block
     # 2, which now follows block 0
@@ -578,6 +622,11 @@ def test_layout_defect_counts_block_runs_out_of_sector_order(monkeypatch):
     # block 0's last coordinate moved into block 1: two runs off their widths
     _relaid(monkeypatch, lambda owner: np.where(np.arange(owner.size) == 1, 1, owner))
     assert coherence_layout_defect(wide) == 2
+    # coordinate 0 in no block (-1): a run of no block, and block 0 short of
+    # its width; the sum of the blocks is 0 there
+    _relaid(monkeypatch, lambda owner: np.where(np.arange(owner.size) == 0, -1, owner))
+    assert coherence_layout_defect(wide) == 2
+    assert coherence_completeness_defect(wide) == 1.0
 
 
 def test_pythagoras_over_random_vectors():
@@ -587,7 +636,7 @@ def test_pythagoras_over_random_vectors():
         state = rng.standard_normal(model.space.total_dim)
         total = sum(
             float(np.sum(state[coherence_projector(model, sec) == 1.0] ** 2))
-            for sec in model.space.sectors
+            for sec in enumerate_sectors(model.n_slits, model.order)
         )
         assert total == pytest.approx(np.linalg.norm(state) ** 2, abs=1e-9)
 
@@ -595,7 +644,7 @@ def test_pythagoras_over_random_vectors():
 def test_corrupted_projectors_fail_verification():
     model = quantum_model(3)
     # block 0 leaks onto coordinate 3, which belongs to another block
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     family[0, 3] = 1e-3
     assert not dense_completeness_defect(model, family) < DEFAULT_TOL
     pair, pyth = dense_orthogonality_defects(model, family)
@@ -605,7 +654,7 @@ def test_corrupted_projectors_fail_verification():
 
 def test_projector_family_of_the_wrong_shape_is_rejected():
     model = quantum_model(3)
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     for bad in (family[:-1], family[:, :-1], family[0]):
         with pytest.raises(ValueError, match="projectors of 9 coordinates"):
             dense_completeness_defect(model, bad)
@@ -640,7 +689,7 @@ ORTHOGONALITY_MODELS = (
     "model", ORTHOGONALITY_MODELS, ids=lambda m: f"{m.kind}{m.n_slits}-h{m.order}"
 )
 def test_orthogonality_defects_equal_the_product_tensor(model):
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     assert dense_orthogonality_defects(model, family) == (
         product_tensor_orthogonality_defects(model, family)
     )
@@ -651,19 +700,19 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     rng = np.random.default_rng(11)
     m = model.space.total_dim
     for scale in (1.0, 1e-3, 1e3):
-        family = np.stack([scale * rng.standard_normal(m) for _ in model.space.sectors])
+        family = np.stack([scale * rng.standard_normal(m) for _ in model.space.members])
         got = dense_orthogonality_defects(model, family)
         assert got == product_tensor_orthogonality_defects(model, family)
         assert got[0] > 0
     # entries just below 1: w_i^2 - w_i is small, so the product of two
     # different blocks sets the defect
-    diags = rng.uniform(0.9, 1.0, size=(len(model.space.sectors), m))
+    diags = rng.uniform(0.9, 1.0, size=(len(model.space.members), m))
     family = diags
     got = dense_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
     assert got[0] > np.max(np.abs(diags * diags - diags))
     # two blocks that are the same projector overlap by exactly 1
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     family[1] = family[0]
     got = dense_orthogonality_defects(model, family)
     assert got == product_tensor_orthogonality_defects(model, family)
@@ -679,7 +728,7 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
 
 def test_orthogonality_defect_with_a_nan_fails():
     model = quantum_model(3)
-    family = np.stack([coherence_projector(model, sec) for sec in model.space.sectors])
+    family = projector_family(model)
     family[2, 1] = np.nan
     pair, pyth = dense_orthogonality_defects(model, family)
     assert np.isnan(pair)

@@ -28,7 +28,6 @@ from hoisearch.models import (
     NumericError,
     build_model,
     classical_model,
-    coherence_projector,
     quantum_model,
     sign_flip_oracle,
     synthetic_model,
@@ -373,12 +372,13 @@ def test_fast_path_matches_dense_simulation():
 
 
 def forbid_sector_enumeration(monkeypatch, what):
-    """Fail the test if anything enumerates a model's sectors, as every dense
-    route does and no model construction may."""
-    def refuse(*_args):
-        raise AssertionError(f"{what} enumerated a sector")
+    """Fail the test if anything builds a model's sector tables, as every
+    dense route does and no model construction may."""
+    def refuse(_space):
+        raise AssertionError(f"{what} built a sector table")
 
-    monkeypatch.setattr(hoisearch.models, "enumerate_sectors", refuse)
+    for table in ("members", "owner"):
+        monkeypatch.setattr(hoisearch.models.SectorSpace, table, property(refuse))
 
 
 def test_run_experiment_takes_the_closed_form_at_every_n(monkeypatch):
@@ -726,6 +726,25 @@ def test_classical_sweep_saturates():
     result = scaling_sweep("classical", [4, 8], "reflect")
     assert all(row.saturated for row in result.rows)
     assert result.exponent("crossing") is None
+
+
+def test_peak_fit_takes_only_series_that_turn():
+    # a classical series never falls, so first_peak is the budget
+    # ceil(4 sqrt N), whose fit alone would read the sqrt(N) signature
+    result = scaling_sweep("classical", [16, 64, 256, 1024])
+    assert [row.k_peak for row in result.rows] == [row.k_max for row in result.rows] == [16, 32, 64, 128]
+    assert not any(row.turned for row in result.rows)
+    assert result.exponent("peak") is None
+    # quantum N = 2 sits at success 1/2 at every k: it never rises
+    result = scaling_sweep("quantum", [2, 16, 64])
+    assert [row.turned for row in result.rows] == [False, True, True]
+    assert result.exponent("peak") == pytest.approx(math.log(6 / 3) / math.log(64 / 16), rel=1e-12)
+
+
+def test_criterion_8_grid_peaks_all_turn():
+    result = scaling_sweep("quantum", [4, 8, 16, 32, 64, 128, 256, 512, 1024], "grover")
+    assert all(row.turned for row in result.rows)
+    assert round(result.exponent("peak"), 4) == 0.5473
 
 
 def test_sweep_exponent_needs_two_distinct_n():
