@@ -33,13 +33,11 @@ from .models import (
     SectorSpace,
     build_model,
     classical_model,
-    embed_density,
     interference_order,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
-    unembed_density,
 )
 from .search import (
     LowerBoundCheck,

@@ -18,9 +18,11 @@ candidate matrix or block family, are test references (``tests/reference.py``).
 Three families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
-* quantum (h = 2): N x N density matrices embedded as real vectors, with the
-  off-diagonal pairs scaled by sqrt(2) so the Euclidean norm equals the
-  Hilbert-Schmidt norm (pure states then have norm exactly 1);
+* quantum (h = 2): N x N density matrices as real vectors, an entry rho_ii
+  per singleton block and the Re and Im parts of rho_ij per pair block,
+  scaled by sqrt(2) so the Euclidean norm equals the Hilbert-Schmidt norm
+  (pure states then have norm exactly 1). The library holds the states in
+  these coordinates only; the map to and from matrices is a test reference;
 * synthetic (any h): an abstract carrier with one dimension per sector by
   default. No claim is made that a complete physical theory with h > 2
   exists; these are bound-testing carriers only.
@@ -52,8 +54,6 @@ __all__ = [
     "default_dims_per_size",
     "slit_projector",
     "sign_flip_oracle",
-    "embed_density",
-    "unembed_density",
     "haar_orthogonal",
     "coherence_completeness_defect",
     "coherence_layout_defect",
@@ -130,8 +130,8 @@ class SectorSpace:
         """``(S, N)`` bool: ``members[b, i]`` is whether block b involves slit
         i, one size at a time from `itertools.combinations` index arrays, in
         the sector order of `enumerate_sectors`. The oracles, the slit
-        projectors, `oracle_displacement` and the quantum embedding read the
-        blocks' slits from this table alone."""
+        projectors and `oracle_displacement` read the blocks' slits from this
+        table alone."""
         n = self.n_slits
         counts = [comb(n, size) for size in range(1, self.order + 1)]
         table = np.zeros((sum(counts), n), dtype=bool)
@@ -143,18 +143,6 @@ class SectorSpace:
             start += count
         table.flags.writeable = False  # shared by every caller of the cached table
         return table
-
-    @functools.cached_property
-    def _density_index(self) -> tuple[np.ndarray, ...]:
-        """``(diag, rows, cols, pair)`` of a quantum layout: rho_ii sits at
-        coordinate ``diag[i]``; for the p-th pair ``rows[p] < cols[p]`` the
-        sqrt(2)-scaled Re and Im parts sit at ``pair[p]`` and ``pair[p] + 1``.
-        Sectors come singletons first, in slit order (`members`).
-        """
-        n = self.n_slits
-        starts = np.searchsorted(self.owner, np.arange(len(self.members)))
-        rows, cols = np.nonzero(self.members[n:])[1].reshape(-1, 2).T
-        return starts[:n], rows, cols, starts[n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,22 +197,23 @@ class Model:
     def uniform_state(self) -> np.ndarray:
         """The start state of a search, ``(M,)``, read-only.
 
-        Quantum: the embedded pure state with every matrix entry 1/N.
-        Otherwise 1/N on each basis coordinate and the leftover weight spread
-        evenly over the higher-sector coordinates, for norm 1 and overlap 1/N
-        with each basis state as in the quantum state (`block_weights`); at
-        order 1 it is the classical uniform distribution, of norm 1/sqrt(N).
+        1/N on each basis coordinate. Quantum: the pure state with every
+        matrix entry 1/N, so each pair block holds ``(sqrt(2)/N, 0)``, its
+        Re and Im parts. Otherwise the leftover weight spread evenly over the
+        higher-sector coordinates, for norm 1 and overlap 1/N with each basis
+        state as in the quantum state (`block_weights`); at order 1 it is the
+        classical uniform distribution, of norm 1/sqrt(N).
         """
         space, n = self.space, self.n_slits
+        coords = np.zeros(space.total_dim)
+        coords[self.basis_index] = 1.0 / n
         if self.kind == "quantum":
-            coords = _embed(space, np.full((n, n), 1.0 / n))
-        else:
-            coords = np.zeros(space.total_dim)
-            coords[self.basis_index] = 1.0 / n
-            if self.order > 1:
-                # the higher sectors follow the leading singleton blocks
-                higher = np.sqrt(self.block_weights[2] / space.dims_per_size[2])
-                coords[n * space.dims_per_size[1]:] = higher
+            # the pair blocks follow the N singletons, 2 coordinates wide
+            coords[n::2] = np.sqrt(2.0) * (1.0 / n)
+        elif self.order > 1:
+            # the higher sectors follow the leading singleton blocks
+            higher = np.sqrt(self.block_weights[2] / space.dims_per_size[2])
+            coords[n * space.dims_per_size[1]:] = higher
         coords.flags.writeable = False  # shared by every caller of the cached state
         return coords
 
@@ -268,8 +257,9 @@ def classical_model(n_slits: int) -> Model:
 def quantum_model(n_slits: int) -> Model:
     """Order-2 theory: N x N density matrices in real sector coordinates, a
     diagonal entry per singleton block and ``(sqrt(2) Re rho_ij, sqrt(2) Im
-    rho_ij)`` per pair block, which makes the embedding a Hilbert-Schmidt
-    isometry."""
+    rho_ij)`` per pair block ``{i, j}``, i < j, which makes the coordinates a
+    Hilbert-Schmidt isometry. The map between the two forms is a test
+    reference (``tests/reference.py``)."""
     return build_model("quantum", n_slits)
 
 
@@ -386,55 +376,6 @@ def sign_flip_oracle(model: Model, marked: int | Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quantum embedding
-# ---------------------------------------------------------------------------
-
-def _embed(space: SectorSpace, rho: np.ndarray) -> np.ndarray:
-    """Sector coordinates of Hermitian matrices, shape (..., N, N) -> (..., M)."""
-    diag, rows, cols, pair = space._density_index
-    n = space.n_slits
-    coords = np.empty(rho.shape[:-2] + (space.total_dim,))
-    coords[..., diag] = rho[..., np.arange(n), np.arange(n)].real
-    upper = rho[..., rows, cols]
-    coords[..., pair] = np.sqrt(2.0) * upper.real
-    coords[..., pair + 1] = np.sqrt(2.0) * upper.imag
-    return coords
-
-
-def _unembed(space: SectorSpace, coords: np.ndarray) -> np.ndarray:
-    """Inverse of `_embed`: Hermitian matrices, shape (..., M) -> (..., N, N)."""
-    diag, rows, cols, pair = space._density_index
-    n = space.n_slits
-    rho = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-    rho[..., np.arange(n), np.arange(n)] = coords[..., diag]
-    upper = (coords[..., pair] + 1j * coords[..., pair + 1]) * (1.0 / np.sqrt(2.0))
-    rho[..., rows, cols] = upper
-    rho[..., cols, rows] = upper.conj()
-    return rho
-
-
-def embed_density(model: Model, rho: np.ndarray) -> np.ndarray:
-    """Embed a Hermitian N x N matrix into the quantum model's coordinates."""
-    _require_quantum(model)
-    rho = np.asarray(rho, dtype=complex)
-    n = model.space.n_slits
-    if rho.shape != (n, n):
-        raise ValueError(f"matrix has shape {rho.shape}, expected ({n}, {n})")
-    return _embed(model.space, rho)
-
-
-def unembed_density(model: Model, state: np.ndarray) -> np.ndarray:
-    """Invert `embed_density`; always returns a Hermitian matrix."""
-    _require_quantum(model)
-    return _unembed(model.space, _check_state(model, state))
-
-
-def _require_quantum(model: Model) -> None:
-    if model.kind != "quantum":
-        raise ValueError(f"operation requires the quantum model, got {model.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # States, randomness, verification
 # ---------------------------------------------------------------------------
 
@@ -491,11 +432,11 @@ def coherence_layout_defect(model: Model) -> int:
 
     Blocks given by ``owner`` are orthogonal by construction, each the 0/1
     indicator of its coordinates. What the layout's readers assume
-    (`Model.basis_index`, `Model.uniform_state`, the quantum embedding) is
-    that every block is one contiguous run of its width, in sector order,
-    singletons first: a run is counted when its block does not follow the
-    previous run's, is not one of the S blocks, or its length is not its
-    block's width. O(M), 0 means in order.
+    (`Model.basis_index`, `Model.uniform_state`) is that every block is one
+    contiguous run of its width, in sector order, singletons first: a run is
+    counted when its block does not follow the previous run's, is not one of
+    the S blocks, or its length is not its block's width. O(M), 0 means in
+    order.
     """
     widths, owner = _block_widths(model.space), model.space.owner
     starts = np.flatnonzero(np.r_[True, np.diff(owner) != 0])

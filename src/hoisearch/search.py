@@ -155,20 +155,21 @@ def random_schedule(model: Model, seed: int) -> Schedule:
     """Independent Haar-distributed steps, reproducible from the seed.
 
     Step k sends the batch's span onto a frame drawn from ``(seed, k)``:
-    with ``qb`` an orthonormal basis of the span (reduced QR of ``rows.T``)
-    and ``F`` a Haar frame of as many columns (`haar_orthogonal`), the rows
-    become ``rows @ qb @ F.T``. A step thus depends on ``(seed, k)`` and on
-    the batch it acts on; its law is that of a Haar-orthogonal step, since a
-    Haar ``Q`` sends ``qb`` to a uniform frame (Mezzadri 2007, arXiv
-    math-ph/0609050). It costs two QRs of M x r matrices, not one of M x M.
+    with ``rows.T = qb @ tri`` the reduced QR of the batch and ``F`` a Haar
+    frame of as many columns (`haar_orthogonal`), the rows become
+    ``rows @ qb @ F.T``, which is ``tri.T @ F.T``, so ``qb`` is never formed.
+    A step thus depends on ``(seed, k)`` and on the batch it acts on; its law
+    is that of a Haar-orthogonal step, since a Haar ``Q`` sends ``qb`` to a
+    uniform frame (Mezzadri 2007, arXiv math-ph/0609050). It costs two QRs
+    of M x r matrices, one without its Q, and no M x M matrix.
     """
     dim = model.space.total_dim
     seed = int(seed)
 
     def apply_fn(index: int, rows: np.ndarray) -> np.ndarray:
-        qb = np.linalg.qr(rows.T)[0]
-        frame = haar_orthogonal(dim, np.random.default_rng((seed, int(index))), qb.shape[1])
-        return rows @ qb @ frame.T
+        tri = np.linalg.qr(rows.T, mode="r")
+        frame = haar_orthogonal(dim, np.random.default_rng((seed, int(index))), tri.shape[0])
+        return tri.T @ frame.T
 
     return Schedule(f"random:{seed}", apply_fn, seed=seed)
 
@@ -277,10 +278,12 @@ def run_search(
 
     m_dim = model.space.total_dim
     n_marked = len(marked_items)
-    # last batch row is the oracle-free control: its "oracle" is the identity,
-    # and sharing the batched step keeps it bit-identical to trajectories the
-    # oracle leaves untouched (the classical collapse is then exact)
+    # last batch row is the oracle-free control: its "oracle" is the identity.
+    # A trajectory the oracle leaves untouched is the control's, and is copied
+    # from it after each step, as a batched step (a QR) need not send equal
+    # rows to bit-equal rows: the classical collapse is then exact
     oracle_diags = np.vstack([sign_flip_oracle(model, marked_items), np.ones(m_dim)])
+    untouched = np.flatnonzero((oracle_diags[:-1] == 1.0).all(axis=1))
     # target rows: basis state x is the unit vector at basis_index[x]
     basis = np.zeros((n_marked, m_dim))
     basis[np.arange(n_marked), model.basis_index[list(marked_items)]] = 1.0
@@ -302,6 +305,7 @@ def run_search(
                     f"schedule step {k} is not reversible "
                     f"(Gram defect {defect:.3e} > {tol:.1e})"
                 )
+            batch[untouched] = batch[n_marked]
         with_states, free_state = batch[:n_marked], batch[n_marked]
         np.subtract(with_states, free_state, out=diffs[0])
         np.subtract(with_states, basis, out=diffs[1])
@@ -439,14 +443,15 @@ def _symmetric_report(
 # A dense run holds its batch of N + 1 trajectories, the queried batch, the
 # step's output and its temporaries, the oracle diagonals and the measures'
 # difference arrays: about a dozen (N + 1) x M float arrays at once (traced
-# peaks of random runs: 11 at quantum(127), 12 at classical(1024)). Capping
-# one at 2^21 entries (16 MiB) still admits the largest dense runs in use,
-# classical(1024) at 1.05e6 entries and quantum up to N = 127. At the cap,
-# quantum(127) at k_max = 1, one BLAS thread (Python 3.11.7, numpy 2.4.6,
-# x86-64): the run's arrays peak at 185.6 MB (tracemalloc) and a `bound`
-# process at 243-245 MiB (ru_maxrss, 29 MiB of it the interpreter and numpy
-# before the run); neither figure depends on k. The cap also bounds a report's
-# per-k arrays, k_max + 1 entries a field (times N in a random run's success).
+# peaks of random runs: 10.1 at quantum(127), 12.3 at classical(1024)).
+# Capping one at 2^21 entries (16 MiB) still admits the largest dense runs in
+# use, classical(1024) at 1.05e6 entries and quantum up to N = 127. At the
+# cap, quantum(127) at k_max = 1, one BLAS thread (Python 3.11.7, numpy
+# 2.4.6, x86-64): the run's arrays peak at 166.3 MB (tracemalloc) and a
+# `bound` process at 224-226 MiB (ru_maxrss, 29 MiB of it the interpreter and
+# numpy before the run); neither figure depends on k. The cap also bounds a
+# report's per-k arrays, k_max + 1 entries a field (times N in a random run's
+# success).
 MAX_DENSE_ENTRIES = 2**21
 
 

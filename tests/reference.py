@@ -7,14 +7,21 @@ quantity by a second, literal route:
 
 * `grover_schedule` and `reflection_schedule` step a `run_search` batch, the
   dense simulation that both closed-form reports are checked against;
+* `embed_density` and `unembed_density` map Hermitian N x N matrices to the
+  quantum model's sector coordinates and back, the map that defines those
+  coordinates (the library holds only the coordinates);
 * `lift_superoperator` and `lift_unitary_conjugation` build the (M, M) matrix
   of a quantum map, one coordinate at a time, and `conjugate_rows` is their
   batch form;
+* `random_step` is the Haar step of `hoisearch.search.random_schedule`
+  through an explicit orthonormal basis of the batch's span, which the
+  library's step never forms;
 * `sector_tables` builds `SectorSpace.members` and `SectorSpace.owner` from
   one `SlitSet` per sector of `enumerate_sectors`, `block_offsets` lays the
   blocks out by cumulative widths in sector order and `density_index` places
   the quantum layout's entries by those offsets: second routes to the tables
-  that `SectorSpace` builds from index arrays;
+  that `SectorSpace` builds from index arrays, and to `quantum_index`, the
+  placement the embedding reads off `SectorSpace.owner`;
 * `coherence_projector` is one block's `(M,)` indicator, looked up by its
   sector;
 * `slit_projector_from_subsets` builds a slit projector block by block over
@@ -51,9 +58,7 @@ from hoisearch.models import (
     DEFAULT_TOL,
     Model,
     SectorSpace,
-    _embed,
-    _require_quantum,
-    _unembed,
+    haar_orthogonal,
     slit_projector,
 )
 from hoisearch.search import (
@@ -66,6 +71,60 @@ from hoisearch.search import (
 from hoisearch.subsets import SlitSet, coherence_expansion, enumerate_sectors
 
 
+def quantum_index(model: Model) -> tuple[np.ndarray, ...]:
+    """``(diag, rows, cols, pair)`` of the quantum layout, read off
+    `SectorSpace.owner`: rho_ii sits at coordinate ``diag[i]``; for the p-th
+    pair ``rows[p] < cols[p]``, in sector order (that of `np.triu_indices`),
+    the sqrt(2)-scaled Re and Im parts sit at ``pair[p]`` and ``pair[p] + 1``.
+    Builds no ``(S, N)`` table, so it reaches N in the thousands."""
+    if model.kind != "quantum":
+        raise ValueError(f"operation requires the quantum model, got {model.kind!r}")
+    n, owner = model.n_slits, model.space.owner
+    starts = np.searchsorted(owner, np.arange(owner[-1] + 1))
+    rows, cols = np.triu_indices(n, 1)
+    return starts[:n], rows, cols, starts[n:]
+
+
+def embed_density(model: Model, rho: np.ndarray) -> np.ndarray:
+    """Sector coordinates of Hermitian matrices, shape (..., N, N) -> (..., M)."""
+    diag, rows, cols, pair = quantum_index(model)
+    n = model.n_slits
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (n, n):
+        raise ValueError(f"matrix has shape {rho.shape}, expected (..., {n}, {n})")
+    coords = np.empty(rho.shape[:-2] + (model.space.total_dim,))
+    coords[..., diag] = rho[..., np.arange(n), np.arange(n)].real
+    upper = rho[..., rows, cols]
+    coords[..., pair] = np.sqrt(2.0) * upper.real
+    coords[..., pair + 1] = np.sqrt(2.0) * upper.imag
+    return coords
+
+
+def unembed_density(model: Model, coords: np.ndarray) -> np.ndarray:
+    """Inverse of `embed_density`: Hermitian matrices, shape (..., M) -> (..., N, N)."""
+    diag, rows, cols, pair = quantum_index(model)
+    n = model.n_slits
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[-1:] != (model.space.total_dim,):
+        raise ValueError(f"state has shape {coords.shape}, expected (..., {model.space.total_dim})")
+    rho = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+    rho[..., np.arange(n), np.arange(n)] = coords[..., diag]
+    upper = (coords[..., pair] + 1j * coords[..., pair + 1]) * (1.0 / np.sqrt(2.0))
+    rho[..., rows, cols] = upper
+    rho[..., cols, rows] = upper.conj()
+    return rho
+
+
+def random_step(model: Model, seed: int, index: int, rows: np.ndarray) -> np.ndarray:
+    """Step ``index`` of ``random_schedule(model, seed)`` on a batch (r, M),
+    as ``rows @ qb @ F.T``: ``qb`` the orthonormal basis of the batch's span
+    from the reduced QR of ``rows.T``, formed and applied, and ``F`` the Haar
+    frame of as many columns drawn from ``(seed, index)``."""
+    qb = np.linalg.qr(rows.T)[0]
+    rng = np.random.default_rng((int(seed), int(index)))
+    return rows @ qb @ haar_orthogonal(model.space.total_dim, rng, qb.shape[1]).T
+
+
 def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Lift a Hermitian-matrix map to the quantum model's real coordinates.
 
@@ -74,15 +133,12 @@ def lift_superoperator(model: Model, fn: Callable[[np.ndarray], np.ndarray]) -> 
     from the images of the coordinate basis, one ``fn`` call per coordinate,
     and returned as its (M, M) matrix.
     """
-    _require_quantum(model)
-    space = model.space
-    images = np.stack([fn(rho) for rho in _unembed(space, np.eye(space.total_dim))])
-    return _embed(space, images).T
+    images = np.stack([fn(rho) for rho in unembed_density(model, np.eye(model.space.total_dim))])
+    return embed_density(model, images).T
 
 
 def lift_unitary_conjugation(model: Model, unitary: np.ndarray) -> np.ndarray:
     """The real sector-coordinate form of ``rho -> U rho U^dagger``."""
-    _require_quantum(model)
     u = np.asarray(unitary, dtype=complex)
     n = model.space.n_slits
     if u.shape != (n, n):
@@ -100,9 +156,8 @@ def conjugate_rows(model: Model, unitary: np.ndarray, rows: np.ndarray) -> np.nd
     The batch form of `lift_unitary_conjugation`, with no M x M matrix. The
     unitary is not checked; `run_search` checks every step for reversibility.
     """
-    _require_quantum(model)
     u = np.asarray(unitary)
-    return _embed(model.space, u @ _unembed(model.space, rows) @ u.conj().T)
+    return embed_density(model, u @ unembed_density(model, rows) @ u.conj().T)
 
 
 def grover_schedule(model: Model) -> Schedule:
@@ -162,7 +217,7 @@ def block_offsets(space: SectorSpace) -> dict[SlitSet, int]:
 
 
 def density_index(space: SectorSpace) -> tuple[np.ndarray, ...]:
-    """``(diag, rows, cols, pair)`` of `SectorSpace._density_index`, placed by
+    """``(diag, rows, cols, pair)`` of `quantum_index`, placed by
     `block_offsets`: the singleton blocks, then the pair blocks in sector order."""
     offsets = block_offsets(space)
     pairs = [sector for sector in offsets if len(sector) == 2]

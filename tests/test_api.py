@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "coherence_expansion",
     "decomposition_coefficient",
     "default_k_max",
-    "embed_density",
     "enumerate_sectors",
     "identity_decomposition",
     "interference_order",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "signed_pairing_counts",
     "slit_projector",
     "synthetic_model",
-    "unembed_density",
 ]
 
 # deleted, or moved into the tests' reference module
@@ -72,6 +70,8 @@ REMOVED_NAMES = [
     "OracleCheck",
     "coherence_orthogonality_defects",
     "coherence_projector",
+    "embed_density",
+    "unembed_density",
 ]
 
 

@@ -20,14 +20,12 @@ from hoisearch.models import (
     Model,
     build_model,
     classical_model,
-    embed_density,
     haar_orthogonal,
     interference_order,
     quantum_model,
     sign_flip_oracle,
     slit_projector,
     synthetic_model,
-    unembed_density,
     coherence_completeness_defect,
     coherence_layout_defect,
     NumericError,
@@ -48,12 +46,15 @@ from reference import (
     density_index,
     dense_completeness_defect,
     dense_orthogonality_defects,
+    embed_density,
     lift_superoperator,
     lift_unitary_conjugation,
     projector_family,
+    quantum_index,
     reflection_schedule,
     sector_tables,
     slit_projector_from_subsets,
+    unembed_density,
 )
 
 
@@ -164,12 +165,13 @@ TABLE_SPECS = (
 
 def test_sector_tables_equal_the_slit_set_route():
     for kind, n, h, dims in TABLE_SPECS:
-        space = build_model(kind, n, h, dims).space
+        model = build_model(kind, n, h, dims)
+        space = model.space
         members, owner = sector_tables(space)
         assert np.array_equal(space.members, members), (kind, n, h, dims)
         assert np.array_equal(space.owner, owner), (kind, n, h, dims)
         if kind == "quantum":
-            for got, want in zip(space._density_index, density_index(space), strict=True):
+            for got, want in zip(quantum_index(model), density_index(space), strict=True):
                 assert np.array_equal(got, want), (n, got, want)
 
 
@@ -202,14 +204,12 @@ def test_no_model_construction_enumerates_a_sector():
 
 def test_state_vector_validation_and_views():
     # a state is a plain (M,) array: a block is the coordinates its coherence
-    # projector keeps, and every function taking a state checks its shape
+    # projector keeps, and every library function taking a state checks its shape
     model = quantum_model(3)
     state = model.uniform_state
     block = state[coherence_projector(model, s([0, 1], 3)) == 1.0]
     assert block.shape == (2,)
     for bad in (np.zeros(5), np.zeros((1, 9)), np.zeros(16)):
-        with pytest.raises(ValueError, match="state has shape"):
-            unembed_density(model, bad)
         with pytest.raises(ValueError, match="state has shape"):
             oracle_displacement(model, bad)
         with pytest.raises(ValueError, match="state has shape"):
@@ -306,15 +306,18 @@ def test_uniform_state_is_read_only():
 
 def test_uniform_state_rules_cover_every_family():
     # the classical state is the order-1 case of the synthetic rule, and the
-    # quantum one is the embedded all-1/N matrix
+    # quantum one, placed by the layout alone with no sector table built, is
+    # the embedded all-1/N matrix
     for n in (1, 2, 5, 12):
         classical = classical_model(n).uniform_state
         assert classical.tobytes() == np.full(n, 1.0 / n).tobytes()
         assert classical.tobytes() == synthetic_model(n, 1).uniform_state.tobytes()
-    for n in (2, 3, 8):
+    for n in [*range(2, 301), 1024, 2047]:
         model = quantum_model(n)
+        state = model.uniform_state
+        assert not {"members", "owner"} & set(model.space.__dict__), n
         embedded = embed_density(model, np.full((n, n), 1.0 / n))
-        assert model.uniform_state.tobytes() == embedded.tobytes()
+        assert state.tobytes() == embedded.tobytes(), n
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)

@@ -55,7 +55,7 @@ from hoisearch.search import (
     REPORT_CSV_COLUMNS,
 )
 
-from reference import grover_schedule, lift_unitary_conjugation, reflection_schedule
+from reference import grover_schedule, lift_unitary_conjugation, random_step, reflection_schedule
 
 
 def assert_reports_equal(got, want, label=None, rel=0.0):
@@ -224,6 +224,29 @@ def test_random_step_has_the_haar_law():
     assert abs(samples.mean() - 1.0 / m) < 5.0 * stderr
 
 
+@pytest.mark.parametrize(
+    "model",
+    [classical_model(12), quantum_model(8), quantum_model(16), synthetic_model(8, 3),
+     synthetic_model(6, 3, {1: 2, 2: 3, 3: 1})],
+    ids=["classical-12", "quantum-8", "quantum-16", "synthetic-8-3", "synthetic-6-dims-231"],
+)
+def test_random_step_matches_the_explicit_basis_step(model):
+    # the step from the batch's triangular factor against rows @ qb @ F.T,
+    # on run_search's batches (classical(12) has M = 12 < r = 13 rows). The
+    # two differ by the rounding of a QR and of length-M products, M <= 256:
+    # far inside 1e-12 of the batch's largest entry
+    schedule = random_schedule(model, 4)
+    n = model.n_slits
+    oracles = np.vstack([sign_flip_oracle(model, range(n)), np.ones(model.space.total_dim)])
+    batch = np.tile(model.uniform_state, (n + 1, 1))
+    for k in range(1, 9):
+        queried = batch * oracles
+        batch = schedule.apply(k, queried)
+        want = random_step(model, 4, k, queried)
+        assert batch.shape == want.shape
+        assert np.max(np.abs(batch - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
 # ---------------------------------------------------------------------------
 # run_search
 # ---------------------------------------------------------------------------
@@ -248,9 +271,14 @@ def test_trajectory_norm_conservation():
 
 
 def test_classical_oracle_never_separates_trajectories():
-    model = classical_model(6)
-    report = run_search(model, random_schedule(model, 11), 8)
-    assert np.all(report.divergence == 0.0)
+    # every classical trajectory is the control's: a rank-1 batch whose rows
+    # stay bit-identical, though the triangular factor of equal columns
+    # differs in the last bit (classical(12) has M = 12 < r = 13 rows)
+    for n in (6, 12, 300):
+        model = classical_model(n)
+        report = run_search(model, random_schedule(model, 11), 8)
+        assert np.all(report.divergence == 0.0), n
+        assert np.all(report.gap_with_oracle == report.gap_without_oracle), n
 
 
 def test_run_search_rejects_irreversible_steps():
