@@ -30,14 +30,9 @@ from .models import (
     DEFAULT_TOL,
     Model,
     NumericError,
-    SectorSpace,
-    build_model,
-    classical_model,
     interference_order,
-    quantum_model,
     sign_flip_oracle,
     slit_projector,
-    synthetic_model,
 )
 from .search import (
     LowerBoundCheck,

@@ -25,7 +25,6 @@ from .models import (
     DEFAULT_TOL,
     Model,
     NumericError,
-    build_model,
     interference_order,
     sign_flip_oracle,
     coherence_completeness_defect,
@@ -232,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = _single_n(_parse_int_list(args.n), "verify --n")
         _check_universe_flag("--n", n)
         h = args.h if args.h is not None else min(n, 3)
-        models = [build_model("synthetic", n, h)]
+        models = [Model("synthetic", n, h)]
         _check_verify_work([(n, h)], models)
         rows.append(("exact identities N=%d h=%d" % (n, h),) + _verify_exact_cell(n, h))
     else:
@@ -244,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_universe_flag("--n-max", n_max)
         cells = [(n, h) for n in range(1, n_max + 1) for h in range(1, n + 1)]
         models = [
-            build_model(kind, n, h)
+            Model(kind, n, h)
             for n in range(1, n_max + 1)
             for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 3), ("synthetic", 4))
             if h <= n

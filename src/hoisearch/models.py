@@ -2,13 +2,14 @@
 
 A model is a family and a layout: N distinguishable states, an interference
 order h, and one real coordinate block per slit subset of size at most h.
-`build_model` builds every model, and all else a model has is derived: the
-block weights of its uniform state and its coordinate count M without
-enumerating a sector, the sector tables on first dense use. Coordinates
-are chosen orthonormal for the self-dualising inner product, so the inner
-product is the plain Euclidean dot product, reversible dynamics are exactly
-the orthogonal matrices, and every coherence projector is an axis-aligned
-block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
+``Model(kind, n_slits, order, dims_per_size)`` builds every model and is the
+one check of its spec, and all else a model has is derived: its layout
+(`Model.space`), the block weights of its uniform state and its coordinate
+count M without enumerating a sector, the sector tables on first dense use.
+Coordinates are chosen orthonormal for the self-dualising inner product, so
+the inner product is the plain Euclidean dot product, reversible dynamics
+are exactly the orthogonal matrices, and every coherence projector is an
+axis-aligned block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
 N distinguished basis states are unit vectors given by their coordinate
 index (`Model.basis_index`), not stored. Projectors and sign-flip oracles
 are diagonal in these coordinates and are returned as their diagonals, also
@@ -35,7 +36,7 @@ import itertools
 import operator
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Sequence
 
@@ -44,14 +45,7 @@ import numpy as np
 from .subsets import EnumerationLimitError, SlitSet, identity_decomposition
 
 __all__ = [
-    "SectorSpace",
     "Model",
-    "classical_model",
-    "quantum_model",
-    "synthetic_model",
-    "build_model",
-    "model_order",
-    "default_dims_per_size",
     "slit_projector",
     "sign_flip_oracle",
     "haar_orthogonal",
@@ -78,35 +72,13 @@ class SectorSpace:
     """Coordinate layout of a sector-decomposed state space, fixed by N, the
     order h and the block dimension ``d_t`` of each sector size t <= h. The
     sector tables and M are derived from these, so none can disagree with
-    them. Construction checks N, h and that every ``d_t`` is an integer >= 1
-    without enumerating a sector; M is a count, and the tables are built on
-    first use."""
+    them: M is a count, and the tables are built on first use. Only `Model`
+    builds one, after checking N, h and every ``d_t``; it checks nothing
+    itself."""
 
     n_slits: int
     order: int
     dims_per_size: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        # integers, as the sector enumeration needs them
-        n, order = operator.index(self.n_slits), operator.index(self.order)
-        if n < 1:
-            raise ValueError(f"need at least one slit, got {n}")
-        if not 1 <= order <= n:
-            raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
-        dims: dict[int, int] = {}
-        for size in range(1, order + 1):
-            if size not in self.dims_per_size:
-                raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
-            value = self.dims_per_size[size]
-            try:
-                dims[size] = operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"sector dimension for size {size} must be an integer, got {value!r}"
-                ) from None
-            if dims[size] < 1:
-                raise ValueError(f"sector dimension for size {size} must be >= 1, got {dims[size]}")
-        object.__setattr__(self, "dims_per_size", dims)
 
     @functools.cached_property
     def total_dim(self) -> int:
@@ -147,19 +119,76 @@ class SectorSpace:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A concrete theory carrier, built by `build_model`: a family and a layout
-    that agree, as construction checks (`model_order` accepts the kind, N and
-    h; a classical or quantum layout has `default_dims_per_size`)."""
+    """A concrete theory carrier: a family ``kind``, N slits, an interference
+    order h and the block dimension ``d_t`` of each sector size t <= h.
+
+    Construction is the one check of a model spec, and enumerates no sector.
+    Classical and quantum models have a fixed order (1 and 2), so ``order``
+    may be omitted or must equal it; synthetic models need an explicit
+    ``order`` of at most ``n_slits``. ``dims_per_size`` defaults to the
+    family's layout, one coordinate per sector except the quantum pairs,
+    which hold the Re and Im parts of an off-diagonal entry; only the
+    synthetic layout can differ from it, and every ``d_t`` must be an integer
+    >= 1. N is capped at the largest array index, the length of
+    `basis_index`; a report's ``(k_max + 1, N)`` success rows can pass
+    numpy's limit on an array's bytes at a smaller N, which the report guard
+    of `search.run_experiment` counts. ``space`` is the checked layout.
+    """
 
     kind: str
-    space: SectorSpace
+    n_slits: int
+    order: int | None = None
+    dims_per_size: Mapping[int, int] | None = None
+    space: SectorSpace = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = self.space.dims_per_size
-        model_order(self.kind, self.space.n_slits, self.space.order)
-        expected = dims if self.kind == "synthetic" else default_dims_per_size(self.kind, self.space.order)
-        if dims != expected:
-            raise ValueError(f"the {self.kind} layout has block dimensions {expected}, got {dims}")
+        kind, n, order = self.kind, self.n_slits, self.order
+        if n > np.iinfo(np.intp).max:
+            raise ValueError(f"N={n} is past the largest array index {np.iinfo(np.intp).max}")
+        if kind == "classical":
+            if order not in (None, 1):
+                raise ValueError(f"the classical model has order 1, got order {order}")
+            order = 1
+        elif kind == "quantum":
+            if order not in (None, 2):
+                raise ValueError(f"the quantum model has order 2, got order {order}")
+            if n < 2:
+                raise ValueError(f"the quantum model needs at least 2 slits, got {n}")
+            order = 2
+        elif kind == "synthetic":
+            if order is None:
+                raise ValueError("synthetic models need an explicit order")
+        else:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if n < 1:
+            raise ValueError(f"need at least one slit, got {n}")
+        if order > n:
+            raise ValueError(f"h exceeds N: h={order}, N={n}")
+        if order < 1:
+            raise ValueError(f"order must satisfy 1 <= order <= {n}, got {order}")
+        # integers, as the sector enumeration needs them
+        n, order = operator.index(n), operator.index(order)
+        layout = {1: 1, 2: 2} if kind == "quantum" else dict.fromkeys(range(1, order + 1), 1)
+        given = layout if self.dims_per_size is None else self.dims_per_size
+        dims: dict[int, int] = {}
+        for size in range(1, order + 1):
+            if size not in given:
+                raise ValueError(f"dims_per_size is missing an entry for sector size {size}")
+            value = given[size]
+            try:
+                dims[size] = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"sector dimension for size {size} must be an integer, got {value!r}"
+                ) from None
+            if dims[size] < 1:
+                raise ValueError(f"sector dimension for size {size} must be >= 1, got {dims[size]}")
+        if kind != "synthetic" and dims != layout:
+            raise ValueError(f"the {kind} layout has block dimensions {layout}, got {dims}")
+        object.__setattr__(self, "n_slits", n)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dims_per_size", dims)
+        object.__setattr__(self, "space", SectorSpace(n, order, dims))
 
     @functools.cached_property
     def block_weights(self) -> Mapping[int, float]:
@@ -218,14 +247,6 @@ class Model:
         return coords
 
     @property
-    def n_slits(self) -> int:
-        return self.space.n_slits
-
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
     def basis_index(self) -> np.ndarray:
         """Coordinate of each distinguished basis state, shape ``(N,)``.
 
@@ -243,92 +264,6 @@ class Model:
             "order": self.order,
             "dims_per_size": {str(k): v for k, v in sorted(self.space.dims_per_size.items())},
         }
-
-
-# ---------------------------------------------------------------------------
-# Space and model construction
-# ---------------------------------------------------------------------------
-
-def classical_model(n_slits: int) -> Model:
-    """Order-1 theory: states are probability vectors over the slits."""
-    return build_model("classical", n_slits)
-
-
-def quantum_model(n_slits: int) -> Model:
-    """Order-2 theory: N x N density matrices in real sector coordinates, a
-    diagonal entry per singleton block and ``(sqrt(2) Re rho_ij, sqrt(2) Im
-    rho_ij)`` per pair block ``{i, j}``, i < j, which makes the coordinates a
-    Hilbert-Schmidt isometry. The map between the two forms is a test
-    reference (``tests/reference.py``)."""
-    return build_model("quantum", n_slits)
-
-
-def synthetic_model(
-    n_slits: int, order: int, dims_per_size: Mapping[int, int] | None = None
-) -> Model:
-    """Abstract order-h carrier, one dimension per sector unless configured."""
-    return build_model("synthetic", n_slits, order, dims_per_size)
-
-
-def model_order(kind: str, n_slits: int, order: int | None = None) -> int:
-    """The order of a model spec, after checking the family, order and N.
-
-    Classical and quantum models have a fixed order (1 and 2), so ``order``
-    may be omitted or must equal it; synthetic models need an explicit
-    ``order`` of at most ``n_slits``. `build_model` and `Model` check every
-    spec with it. N is capped at the largest array index, the length of a
-    report's success rows.
-    """
-    if n_slits > np.iinfo(np.intp).max:
-        raise ValueError(f"N={n_slits} is past the largest array index {np.iinfo(np.intp).max}")
-    if kind == "classical":
-        if order not in (None, 1):
-            raise ValueError(f"the classical model has order 1, got order {order}")
-        order = 1
-    elif kind == "quantum":
-        if order not in (None, 2):
-            raise ValueError(f"the quantum model has order 2, got order {order}")
-        if n_slits < 2:
-            raise ValueError(f"the quantum model needs at least 2 slits, got {n_slits}")
-        return 2
-    elif kind == "synthetic":
-        if order is None:
-            raise ValueError("synthetic models need an explicit order")
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if n_slits < 1:
-        raise ValueError(f"need at least one slit, got {n_slits}")
-    if order > n_slits:
-        raise ValueError(f"h exceeds N: h={order}, N={n_slits}")
-    if order < 1:
-        raise ValueError(f"order must satisfy 1 <= order <= {n_slits}, got {order}")
-    return order
-
-
-def build_model(
-    kind: str,
-    n_slits: int,
-    order: int | None = None,
-    dims_per_size: Mapping[int, int] | None = None,
-) -> Model:
-    """The one constructor of a model, after `model_order` checks the spec.
-    ``dims_per_size`` defaults to the family's layout, and only the synthetic
-    one can differ from it."""
-    order = model_order(kind, n_slits, order)
-    if dims_per_size is None:
-        dims_per_size = default_dims_per_size(kind, order)
-    return Model(kind, SectorSpace(n_slits, order, dims_per_size))
-
-
-def default_dims_per_size(kind: str, order: int) -> dict[int, int]:
-    """Block dimension per sector size of a family's standard layout.
-
-    One coordinate per sector, except the quantum pairs, which hold the Re
-    and Im parts of an off-diagonal entry.
-    """
-    if kind == "quantum":
-        return {1: 1, 2: 2}
-    return {size: 1 for size in range(1, order + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .models import (
     Model,
     NumericError,
     _check_state,
-    build_model,
     haar_orthogonal,
     sign_flip_oracle,
 )
@@ -165,6 +164,8 @@ def random_schedule(model: Model, seed: int) -> Schedule:
     """
     dim = model.space.total_dim
     seed = int(seed)
+    if seed < 0:  # numpy's seed sequence takes no negative entropy
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     def apply_fn(index: int, rows: np.ndarray) -> np.ndarray:
         tri = np.linalg.qr(rows.T, mode="r")
@@ -350,7 +351,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     ``success`` is a read-only broadcast view of shape ``(k_max + 1, N)``, so
     time and memory are O(k) whatever N is.
     """
-    model = build_model("quantum", n_items)
+    model = Model("quantum", n_items)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = n_items
@@ -467,7 +468,7 @@ def run_experiment(
 ) -> ProgressReport:
     """The report of one search experiment, from its spec alone.
 
-    ``kind`` and ``order`` pick the model (see `build_model`); ``strategy``
+    ``kind`` and ``order`` pick the model (see `Model`); ``strategy``
     defaults to the family's standard schedule, ``seed`` seeds a random one
     and ``k_max`` defaults to `default_k_max`, resolved once N is known to be
     valid. The whole spec is checked before any sector is enumerated: the
@@ -477,11 +478,12 @@ def run_experiment(
     form at every N, so it has no step for ``tol`` to check; only ``random``
     runs simulate the dense sector coordinates, and one past
     `MAX_DENSE_ENTRIES` is refused with `EnumerationLimitError`, as is a
-    report whose per-k arrays would pass it.
+    report whose per-k arrays would pass it or whose ``(k_max + 1, N)``
+    success rows would span more bytes than the largest array index.
     """
     if strategy is None:
         strategy = default_strategy(kind)
-    model = build_model(kind, n_items, order)
+    model = Model(kind, n_items, order)
     if k_max is None:
         k_max = default_k_max(n_items)
     if strategy not in ("grover", "reflect", "random"):
@@ -503,6 +505,16 @@ def run_experiment(
         raise EnumerationLimitError(
             f"a report over k = 0..{k_max} with {rows} success entries per k "
             f"needs {(k_max + 1) * rows} entries, past the guard of {MAX_DENSE_ENTRIES}"
+        )
+    # numpy refuses even a broadcast view whose shape spans more float64
+    # bytes than the largest array index, so the (k_max + 1, N) success rows
+    # are counted in bytes too
+    success_bytes = (k_max + 1) * n_items * 8
+    if success_bytes > np.iinfo(np.intp).max:
+        raise EnumerationLimitError(
+            f"a report over k = 0..{k_max} with {n_items} success entries per k "
+            f"spans {success_bytes} bytes, past numpy's limit of "
+            f"{np.iinfo(np.intp).max} bytes for one array"
         )
 
     if strategy == "reflect":

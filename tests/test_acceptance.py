@@ -12,12 +12,10 @@ import numpy as np
 
 from hoisearch.cli import main as cli_main
 from hoisearch.models import (
-    classical_model,
+    Model,
     coherence_completeness_defect,
     coherence_layout_defect,
-    quantum_model,
     sign_flip_oracle,
-    synthetic_model,
 )
 from hoisearch.search import (
     analytic_crossing_floor,
@@ -97,10 +95,10 @@ def test_criterion_1_exact_combinatorial_identities():
 
 def test_criterion_2_coherence_block_suite():
     started = time.time()
-    models = [classical_model(n) for n in range(1, 9)]
-    models += [quantum_model(n) for n in range(2, 9)]
-    models += [synthetic_model(n, 3) for n in range(3, 9)]
-    models += [synthetic_model(n, 4) for n in range(4, 9)]
+    models = [Model("classical", n) for n in range(1, 9)]
+    models += [Model("quantum", n) for n in range(2, 9)]
+    models += [Model("synthetic", n, 3) for n in range(3, 9)]
+    models += [Model("synthetic", n, 4) for n in range(4, 9)]
     worst_complete = 0.0
     worst_pair = 0.0
     worst_pyth = 0.0
@@ -129,7 +127,7 @@ def test_criterion_3_oracle_equals_phase_conjugation():
     started = time.time()
     worst = 0.0
     for n in range(2, 9):
-        model = quantum_model(n)
+        model = Model("quantum", n)
         for x in range(n):
             phase = np.eye(n, dtype=complex)
             phase[x, x] = -1.0
@@ -148,7 +146,7 @@ def test_criterion_3_oracle_equals_phase_conjugation():
 
 def test_criterion_4_single_iteration_exactness():
     started = time.time()
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     report = run_search(model, grover_schedule(model), 1)
     success_err = float(np.max(np.abs(report.success[1] - 1.0)))
     divergence_err = abs(float(report.divergence[1]) - 6.0)
@@ -179,17 +177,17 @@ def test_criterion_5_upper_bound_everywhere():
             failures.append(f"grover N={n}: excess {check.max_excess:.2e}")
     # dense-route cross-check at small N
     for n in (4, 8, 16):
-        model = quantum_model(n)
+        model = Model("quantum", n)
         report = run_search(model, grover_schedule(model), default_k_max(n))
         if not check_upper_bound(report, tol=TOL_UPPER).holds:
             failures.append(f"grover dense N={n}")
     # (b) 20-seed random schedules per model family at N = 16, on step
     # budgets that shrink with the sector dimension, and for h = 3, 4 also at
     # the full default budget; the bound is checked at every executed step
-    synthetic3, synthetic4 = synthetic_model(16, 3), synthetic_model(16, 4)
+    synthetic3, synthetic4 = Model("synthetic", 16, 3), Model("synthetic", 16, 4)
     cases = [
-        (classical_model(16), 16),
-        (quantum_model(16), 16),
+        (Model("classical", 16), 16),
+        (Model("quantum", 16), 16),
         (synthetic3, 10),
         (synthetic4, 5),
         (synthetic3, default_k_max(16)),
@@ -220,10 +218,10 @@ def test_criterion_6_displacement_bound():
     started = time.time()
     failures = []
     cases = [
-        classical_model(16),
-        quantum_model(8),
-        synthetic_model(8, 3),
-        synthetic_model(8, 4),
+        Model("classical", 16),
+        Model("quantum", 8),
+        Model("synthetic", 8, 3),
+        Model("synthetic", 8, 4),
     ]
     worst_margin = -np.inf
     for case_index, model in enumerate(cases):
@@ -239,7 +237,7 @@ def test_criterion_6_displacement_bound():
                 break
     worst_uniform = 0.0
     for n in list(range(2, 9)) + [16]:
-        model = quantum_model(n)
+        model = Model("quantum", n)
         expected = 8.0 * (n - 1) / n
         err = abs(oracle_displacement(model, model.uniform_state) - expected)
         worst_uniform = max(worst_uniform, err)

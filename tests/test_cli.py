@@ -12,11 +12,8 @@ import hoisearch.models
 from hoisearch.cli import main
 from hoisearch.models import (
     DEFAULT_TOL,
+    Model,
     SectorSpace,
-    build_model,
-    classical_model,
-    quantum_model,
-    synthetic_model,
 )
 from hoisearch.subsets import EnumerationLimitError, SlitSet, enumerate_sectors
 
@@ -200,12 +197,12 @@ def test_verify_reports_a_decomposition_that_never_closes(capsys, monkeypatch):
     assert lines[-1] == "verify: CHECKS FAILED"
 
 
-WIDE = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+WIDE = Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})
 
 
 @pytest.mark.parametrize(
     "model",
-    [classical_model(4), quantum_model(4), synthetic_model(4, 4), WIDE],
+    [Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 4), WIDE],
     ids=["classical", "quantum", "synthetic", "synthetic-wide"],
 )
 def test_verify_model_rows_equal_the_dense_references(model):
@@ -231,7 +228,7 @@ def test_verify_model_rows_equal_the_dense_references(model):
 def test_verify_model_cell_builds_no_m_by_m_array():
     # synthetic(15, 4) has M = S = 1940: one (M, M) or (S, M) float array
     # alone is 30.1 MB
-    model = build_model("synthetic", 15, 4)
+    model = Model("synthetic", 15, 4)
     tracemalloc.start()
     try:
         rows = hoisearch.cli._verify_model_cell(model, "m", DEFAULT_TOL)
@@ -578,6 +575,35 @@ def test_report_past_the_size_guard_is_a_usage_error(capsys):
         "error: a report over k = 0..100000000000 with 1 success entries per k "
         "needs 100000000001 entries, past the guard of 2097152\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--model", "classical", "--n", "4611686018427387904", "--k-max", "1"),
+         "a report over k = 0..1 with 4611686018427387904 success entries per k "
+         "spans 73786976294838206464 bytes"),
+        (("--model", "synthetic", "--h", "3", "--n", "1000000000000000000", "--k-max", "2"),
+         "a report over k = 0..2 with 1000000000000000000 success entries per k "
+         "spans 24000000000000000000 bytes"),
+    ],
+    ids=["classical", "synthetic"],
+)
+def test_report_past_numpys_byte_limit_is_the_guards_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "search", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}, past numpy's limit of 9223372036854775807 bytes for one array\n"
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--model", "quantum", "--n", "4", "--strategy", "random",
+        "--seeds=-1,", "--k-max", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_numeric_failure_is_a_failed_check_not_a_usage_error(capsys):

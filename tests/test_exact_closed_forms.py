@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from hoisearch.models import build_model
+from hoisearch.models import Model
 from hoisearch.search import default_k_max, quantum_grover_report, reflection_report
 
 from reference import exact_grover_fields, exact_reflection_fields
@@ -70,7 +70,7 @@ def _check_fields(report, exact, k_max):
 def test_reflection_report_matches_the_exact_reference(kind, n, order):
     k_max = _k_max(n)
     exact = exact_reflection_fields(kind, n, order, k_max)
-    _check_fields(reflection_report(build_model(kind, n, order), k_max), exact, k_max)
+    _check_fields(reflection_report(Model(kind, n, order), k_max), exact, k_max)
 
 
 @pytest.mark.parametrize("n", GROVER_CASES)

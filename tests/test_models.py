@@ -18,14 +18,10 @@ from hoisearch.models import (
     DEFAULT_TOL,
     SectorSpace,
     Model,
-    build_model,
-    classical_model,
     haar_orthogonal,
     interference_order,
-    quantum_model,
     sign_flip_oracle,
     slit_projector,
-    synthetic_model,
     coherence_completeness_defect,
     coherence_layout_defect,
     NumericError,
@@ -78,13 +74,14 @@ def orthogonality_defect(x):
 # ---------------------------------------------------------------------------
 
 def test_build_sector_space_dimensions():
-    assert SectorSpace(3, 2, {1: 1, 2: 2}).total_dim == 9
-    assert SectorSpace(4, 1, {1: 1}).total_dim == 4
-    assert SectorSpace(4, 3, {1: 1, 2: 1, 3: 1}).total_dim == 14
+    assert Model("synthetic", 3, 2, {1: 1, 2: 2}).space.total_dim == 9
+    assert Model("quantum", 3).space.total_dim == 9
+    assert Model("classical", 4).space.total_dim == 4
+    assert Model("synthetic", 4, 3).space.total_dim == 14
 
 
 def test_build_sector_space_offsets_partition():
-    space = SectorSpace(4, 2, {1: 1, 2: 3})
+    space = Model("synthetic", 4, 2, {1: 1, 2: 3}).space
     offsets = block_offsets(space)
     seen = np.zeros(space.total_dim, dtype=int)
     owner = np.empty(space.total_dim, dtype=int)
@@ -97,28 +94,62 @@ def test_build_sector_space_offsets_partition():
 
 
 def test_build_sector_space_validation():
-    with pytest.raises(ValueError):
-        SectorSpace(3, 2, {1: 1})  # missing size-2 dimension
-    with pytest.raises(ValueError):
-        SectorSpace(3, 2, {1: 1, 2: 0})
-    with pytest.raises(ValueError):
-        SectorSpace(3, 4, {1: 1, 2: 1, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match="missing an entry for sector size 2"):
+        Model("synthetic", 3, 2, {1: 1})
+    with pytest.raises(ValueError, match="size 2 must be >= 1, got 0"):
+        Model("synthetic", 3, 2, {1: 1, 2: 0})
     # N and h are checked before the block dimensions
-    with pytest.raises(ValueError, match="order must satisfy 1 <= order <= 3, got 4"):
-        SectorSpace(3, 4, {1: 1})
+    with pytest.raises(ValueError, match="h exceeds N: h=4, N=3"):
+        Model("synthetic", 3, 4, {1: 1})
     with pytest.raises(ValueError, match="need at least one slit, got 0"):
-        SectorSpace(0, 1, {})
+        Model("synthetic", 0, 1, {})
+    with pytest.raises(ValueError, match="order must satisfy 1 <= order <= 3, got 0"):
+        Model("synthetic", 3, 0, {})
+    # N and h are integers, after their range checks
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        Model("synthetic", 4, 2.0)
     # a block dimension is an integer, never truncated or parsed
     with pytest.raises(ValueError, match="size 2 must be an integer, got 1.5"):
-        synthetic_model(3, 2, {1: 1, 2: 1.5})
+        Model("synthetic", 3, 2, {1: 1, 2: 1.5})
     with pytest.raises(ValueError, match="size 1 must be an integer, got '2'"):
-        SectorSpace(3, 1, {1: "2"})
+        Model("synthetic", 3, 1, {1: "2"})
     with pytest.raises(ValueError, match="size 2 must be an integer, got 2.0"):
-        SectorSpace(3, 2, {1: 1, 2: 2.0})
-    space = SectorSpace(3, 2, {1: np.int64(2), 2: np.uint8(3)})
-    assert space.dims_per_size == {1: 2, 2: 3}
-    assert all(type(d) is int for d in space.dims_per_size.values())
-    assert space.total_dim == 2 * 3 + 3 * 3
+        Model("synthetic", 3, 2, {1: 1, 2: 2.0})
+    model = Model("synthetic", np.int64(3), np.uint8(2), {1: np.int64(2), 2: np.uint8(3)})
+    assert model.dims_per_size == model.space.dims_per_size == {1: 2, 2: 3}
+    assert all(type(d) is int for d in model.space.dims_per_size.values())
+    assert type(model.n_slits) is int and type(model.order) is int
+    assert model.space.total_dim == 2 * 3 + 3 * 3
+
+
+def counting_int(value, name, log):
+    """An int that logs every order comparison made through it, as
+    ``(name, operator, other operand)``."""
+
+    def logged(op):
+        def compare(self, other):
+            log.append((name, op, other))
+            return getattr(int, op)(self, other)
+        return compare
+
+    ops = ("__lt__", "__le__", "__gt__", "__ge__")
+    return type("CountingInt", (int,), {op: logged(op) for op in ops})(value)
+
+
+@pytest.mark.parametrize("n, order", [(5, 3), (4, 4), (6, 1)])
+def test_one_construction_runs_each_spec_check_once(n, order):
+    # the N cap and the range checks of N and h each compare once: one
+    # construction makes one pass over the spec
+    log = []
+    model = Model("synthetic", counting_int(n, "n", log), counting_int(order, "h", log))
+    assert log == [
+        ("n", "__gt__", np.iinfo(np.intp).max),
+        ("n", "__lt__", 1),
+        ("h", "__gt__", n),
+        ("h", "__lt__", 1),
+    ]
+    assert type(model.n_slits) is int and type(model.order) is int
+    assert model.space.total_dim == sum(math.comb(n, t) for t in range(1, order + 1))
 
 
 def test_sector_space_stores_only_n_h_and_block_dims():
@@ -127,11 +158,9 @@ def test_sector_space_stores_only_n_h_and_block_dims():
     assert [f.name for f in dataclasses.fields(SectorSpace)] == [
         "n_slits", "order", "dims_per_size"
     ]
-    space = SectorSpace(4, 3, {1: 2, 2: 3, 3: 1, 4: 9})
+    space = Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1, 4: 9}).space
     assert space.dims_per_size == {1: 2, 2: 3, 3: 1}
     assert space.total_dim == 2 * 4 + 3 * 6 + 1 * 4
-    with pytest.raises(ValueError, match="missing an entry for sector size 2"):
-        SectorSpace(3, 2, {1: 1})
 
 
 @pytest.mark.parametrize("kind, n, h", [("classical", 4, 1), ("quantum", 4, 2), ("synthetic", 5, 3)])
@@ -144,7 +173,7 @@ def test_a_model_build_enumerates_the_sectors_once(kind, n, h, monkeypatch):
         return combinations(pool, size)
 
     monkeypatch.setattr(itertools, "combinations", counted)
-    space = build_model(kind, n, h).space
+    space = Model(kind, n, h).space
     assert calls == []  # construction counts, it does not enumerate
     # the members table reads one enumeration per sector size, and owner
     # counts its blocks without one
@@ -165,7 +194,7 @@ TABLE_SPECS = (
 
 def test_sector_tables_equal_the_slit_set_route():
     for kind, n, h, dims in TABLE_SPECS:
-        model = build_model(kind, n, h, dims)
+        model = Model(kind, n, h, dims)
         space = model.space
         members, owner = sector_tables(space)
         assert np.array_equal(space.members, members), (kind, n, h, dims)
@@ -181,22 +210,22 @@ def test_sector_tables_build_no_slit_set(monkeypatch):
 
     monkeypatch.setattr(SlitSet, "__post_init__", refuse)
     for kind, n, h, dims in (("quantum", 8, 2, None), ("synthetic", 9, 4, {1: 2, 2: 1, 3: 3, 4: 1})):
-        space = build_model(kind, n, h, dims).space
-        assert space.members.sum() == sum(t * math.comb(n, t) for t in range(1, h + 1))
-        assert coherence_completeness_defect(Model(kind, space)) == 0.0
-        assert coherence_layout_defect(Model(kind, space)) == 0
+        model = Model(kind, n, h, dims)
+        assert model.space.members.sum() == sum(t * math.comb(n, t) for t in range(1, h + 1))
+        assert coherence_completeness_defect(model) == 0.0
+        assert coherence_layout_defect(model) == 0
     report = run_experiment("quantum", 8, "random")
     assert check_upper_bound(report).holds
 
 
 def test_no_model_construction_enumerates_a_sector():
-    model = build_model("synthetic", 40, 4)  # 102,340 sectors
+    model = Model("synthetic", 40, 4)  # 102,340 sectors
     assert model.space.total_dim == 40 + 780 + 9880 + 91390
     assert model.block_weights[4] == pytest.approx((1 - 1 / 40) / (780 + 9880 + 91390))
     assert model.descriptor()["dims_per_size"] == {"1": 1, "2": 1, "3": 1, "4": 1}
     assert not {"members", "owner"} & set(model.space.__dict__)
     # C(10^9, 4) = 4.2e34 sectors, each one coordinate
-    wide = build_model("synthetic", 10**9, 4)
+    wide = Model("synthetic", 10**9, 4)
     assert wide.space.total_dim == sum(math.comb(10**9, t) for t in range(1, 5))
     assert wide.block_weights[1] == 1e-18
     assert not {"members", "owner"} & set(wide.space.__dict__)
@@ -205,7 +234,7 @@ def test_no_model_construction_enumerates_a_sector():
 def test_state_vector_validation_and_views():
     # a state is a plain (M,) array: a block is the coordinates its coherence
     # projector keeps, and every library function taking a state checks its shape
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     state = model.uniform_state
     block = state[coherence_projector(model, s([0, 1], 3)) == 1.0]
     assert block.shape == (2,)
@@ -226,35 +255,42 @@ def basis_vectors(model):
 
 
 def test_classical_model_basics():
-    model = classical_model(4)
+    model = Model("classical", 4)
     assert np.array_equal(basis_vectors(model), np.eye(4))
     assert np.linalg.norm(model.uniform_state) == pytest.approx(0.5, abs=1e-12)
     assert interference_order(model) == 1
 
 
 def test_quantum_model_basics():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     assert np.array_equal(basis_vectors(model)[0], np.array([1, 0, 0, 0, 0, 0, 0, 0, 0.0]))
     assert np.linalg.norm(model.uniform_state) == pytest.approx(1.0, abs=1e-12)
-    model4 = quantum_model(4)
+    model4 = Model("quantum", 4)
     assert model4.uniform_state[model4.basis_index[2]] == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        quantum_model(1)
+        Model("quantum", 1)
 
 
 # the last is the only layout whose singleton blocks are wider than one
 # coordinate
 MODELS = [
-    classical_model(5),
-    quantum_model(4),
-    synthetic_model(5, 3),
-    synthetic_model(4, 3, {1: 2, 2: 3, 3: 1}),
+    Model("classical", 5),
+    Model("quantum", 4),
+    Model("synthetic", 5, 3),
+    Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1}),
 ]
 MODEL_IDS = ["classical", "quantum", "synthetic", "synthetic-wide"]
 
 
 def test_model_stores_only_its_family_and_layout():
-    assert [f.name for f in dataclasses.fields(Model)] == ["kind", "space"]
+    # the spec it was built from, checked, and the layout derived from it
+    assert [f.name for f in dataclasses.fields(Model)] == [
+        "kind", "n_slits", "order", "dims_per_size", "space"
+    ]
+    model = Model("quantum", 4)
+    assert (model.n_slits, model.order, model.dims_per_size) == (4, 2, {1: 1, 2: 2})
+    assert model.space.dims_per_size is model.dims_per_size
+    assert (model.space.n_slits, model.space.order) == (4, 2)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -262,7 +298,7 @@ def test_descriptor_rebuilds_the_model(model):
     # the recipe README's break table gives for the removed model_from_descriptor
     d = model.descriptor()
     dims = {int(t): m for t, m in d["dims_per_size"].items()}
-    rebuilt = build_model(d["kind"], d["n_slits"], d["order"], dims)
+    rebuilt = Model(d["kind"], d["n_slits"], d["order"], dims)
     assert rebuilt.kind == model.kind
     assert np.array_equal(rebuilt.space.owner, model.space.owner)
     assert np.array_equal(rebuilt.space.members, model.space.members)
@@ -271,33 +307,31 @@ def test_descriptor_rebuilds_the_model(model):
 
 def test_a_model_whose_family_and_layout_disagree_is_refused():
     with pytest.raises(ValueError, match=r"quantum layout has block dimensions \{1: 1, 2: 2\}"):
-        Model("quantum", SectorSpace(3, 2, {1: 1, 2: 1}))
+        Model("quantum", 3, 2, {1: 1, 2: 1})
     with pytest.raises(ValueError, match="the classical model has order 1"):
-        Model("classical", SectorSpace(4, 3, {1: 1, 2: 1, 3: 1}))
+        Model("classical", 4, 3, {1: 1, 2: 1, 3: 1})
     with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
-        Model("bogus", SectorSpace(3, 1, {1: 1}))
+        Model("bogus", 3, 1, {1: 1})
     with pytest.raises(ValueError, match="the quantum model has order 2"):
-        Model("quantum", SectorSpace(2, 1, {1: 1}))
-    # build_model takes the family's own layout only, never drops a given one
-    with pytest.raises(ValueError, match="quantum layout has block dimensions"):
-        build_model("quantum", 4, dims_per_size={1: 1, 2: 1})
+        Model("quantum", 2, 1, {1: 1})
+    # a fixed family takes its own layout only, never drops a given one
     with pytest.raises(ValueError, match="classical layout has block dimensions"):
-        build_model("classical", 4, dims_per_size={1: 2})
-    assert build_model("quantum", 4, dims_per_size={1: 1, 2: 2}).space.total_dim == 16
+        Model("classical", 4, dims_per_size={1: 2})
+    assert Model("quantum", 4, dims_per_size={1: 1, 2: 2}).space.total_dim == 16
 
 
 def test_a_fixed_order_refusal_names_the_order_not_a_flag():
     # the library is called without flags, so its message says what is wrong
     with pytest.raises(ValueError) as excinfo:
-        build_model("classical", 4, 3)
+        Model("classical", 4, 3)
     assert str(excinfo.value) == "the classical model has order 1, got order 3"
     with pytest.raises(ValueError) as excinfo:
-        Model("quantum", SectorSpace(4, 3, {1: 1, 2: 2, 3: 1}))
+        Model("quantum", 4, 3, {1: 1, 2: 2, 3: 1})
     assert str(excinfo.value) == "the quantum model has order 2, got order 3"
 
 
 def test_uniform_state_is_read_only():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     # one cached array is handed to every caller, as `SectorSpace.members` is
     with pytest.raises(ValueError, match="read-only"):
         model.uniform_state[0] = 1.0
@@ -309,11 +343,11 @@ def test_uniform_state_rules_cover_every_family():
     # quantum one, placed by the layout alone with no sector table built, is
     # the embedded all-1/N matrix
     for n in (1, 2, 5, 12):
-        classical = classical_model(n).uniform_state
+        classical = Model("classical", n).uniform_state
         assert classical.tobytes() == np.full(n, 1.0 / n).tobytes()
-        assert classical.tobytes() == synthetic_model(n, 1).uniform_state.tobytes()
+        assert classical.tobytes() == Model("synthetic", n, 1).uniform_state.tobytes()
     for n in [*range(2, 301), 1024, 2047]:
-        model = quantum_model(n)
+        model = Model("quantum", n)
         state = model.uniform_state
         assert not {"members", "owner"} & set(model.space.__dict__), n
         embedded = embed_density(model, np.full((n, n), 1.0 / n))
@@ -351,11 +385,11 @@ def test_members_table_lists_the_slits_of_each_block(model):
 def test_model_holds_no_dense_basis():
     # N dense (M,) basis vectors would be 8 MB at N = 1024; the model keeps
     # the layout and one (M,) state
-    classical_model(4)  # warm every first-call cache
+    Model("classical", 4)  # warm every first-call cache
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        model = classical_model(1024)
+        model = Model("classical", 1024)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -364,7 +398,7 @@ def test_model_holds_no_dense_basis():
 
 
 def test_quantum_embedding_round_trip_and_hs_inner():
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     rng = np.random.default_rng(7)
     for _ in range(50):
         rho, sigma = random_density(4, rng), random_density(4, rng)
@@ -380,7 +414,7 @@ def test_quantum_embedding_matches_per_entry_reference():
     # the arithmetic per entry is the same, so the results are equal
     rng = np.random.default_rng(3)
     for n in range(2, 7):
-        model = quantum_model(n)
+        model = Model("quantum", n)
         space = model.space
         rho = random_density(n, rng)
         offsets = block_offsets(space)
@@ -408,7 +442,7 @@ def test_quantum_embedding_matches_per_entry_reference():
 
 
 def test_quantum_pure_states_have_unit_norm():
-    model = quantum_model(5)
+    model = Model("quantum", 5)
     rng = np.random.default_rng(11)
     for _ in range(20):
         vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -418,19 +452,19 @@ def test_quantum_pure_states_have_unit_norm():
 
 
 def test_synthetic_model_uniform_state():
-    model = synthetic_model(4, 2)
+    model = Model("synthetic", 4, 2)
     higher = model.uniform_state[4:]
     assert np.allclose(higher, 0.35355339059327373)
     assert np.linalg.norm(model.uniform_state) == pytest.approx(1.0, abs=1e-12)
     for n, h, dims in [(4, 2, None), (5, 3, None), (4, 4, None), (6, 1, None),
                        (4, 3, {1: 2, 2: 3, 3: 1})]:
-        m = synthetic_model(n, h, dims)
+        m = Model("synthetic", n, h, dims)
         assert basis_vectors(m) @ m.uniform_state == pytest.approx(np.full(n, 1.0 / n))
         assert np.linalg.norm(m.uniform_state) == pytest.approx(1.0 if h > 1 else n**-0.5)
 
 
 def test_synthetic_model_full_order_has_full_sector_weight():
-    model = synthetic_model(3, 3)
+    model = Model("synthetic", 3, 3)
     full = model.uniform_state[coherence_projector(model, s([0, 1, 2], 3)) == 1.0]
     assert full[0] > 0
 
@@ -441,18 +475,18 @@ def test_total_dim_counts_the_built_coordinates():
     specs += [("synthetic", n, h, None) for n in range(1, 10) for h in range(1, n + 1)]
     specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1}), ("synthetic", 6, 2, {1: 3, 2: 5})]
     for kind, n, h, dims in specs:
-        space = build_model(kind, n, h, dims).space
+        space = Model(kind, n, h, dims).space
         # the count is taken before the sectors are enumerated
         assert space.total_dim == space.owner.size, (kind, n, h, dims)
 
 
 def test_synthetic_model_order_one_is_classically_mixed():
-    model = synthetic_model(4, 1)
+    model = Model("synthetic", 4, 1)
     assert np.linalg.norm(model.uniform_state) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_basis_states_are_orthonormal_everywhere():
-    for model in (classical_model(5), quantum_model(4), synthetic_model(5, 3)):
+    for model in (Model("classical", 5), Model("quantum", 4), Model("synthetic", 5, 3)):
         basis = basis_vectors(model)
         assert np.array_equal(basis @ basis.T, np.eye(model.n_slits))
 
@@ -465,7 +499,7 @@ def test_block_weights_and_descriptors_match_the_built_models():
     specs += [("synthetic", n, h, None) for n in (1, 2, 5, 6) for h in range(1, min(n, 4) + 1)]
     specs += [("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})]
     for kind, n, h, dims in specs:
-        model = build_model(kind, n, h, dims)
+        model = Model(kind, n, h, dims)
         assert model.descriptor() == {
             "kind": kind,
             "n_slits": n,
@@ -535,7 +569,7 @@ def test_coherence_projector_matches_formal_expansion(model):
 
 
 def test_qutrit_slit_projector_zeroes_blocked_row_and_column():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     rng = np.random.default_rng(5)
     rho = random_density(3, rng)
     coords = slit_projector(model, s([0, 1], 3)) * embed_density(model, rho)
@@ -547,7 +581,7 @@ def test_qutrit_slit_projector_zeroes_blocked_row_and_column():
 
 
 def test_qutrit_coherence_projector_keeps_only_the_pair_coherence():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     rng = np.random.default_rng(6)
     rho = random_density(3, rng)
     coords = coherence_projector(model, s([0, 1], 3)) * embed_density(model, rho)
@@ -561,7 +595,7 @@ def test_qutrit_coherence_projector_keeps_only_the_pair_coherence():
 def test_quantum_slit_projectors_match_true_sandwich():
     # the block construction must coincide with the lifted rho -> P rho P
     for n in (3, 4):
-        model = quantum_model(n)
+        model = Model("quantum", n)
         base = s(range(n), n)
         for subset in base.subsets(include_empty=True):
             mask = np.zeros((n, n), dtype=complex)
@@ -575,7 +609,7 @@ def test_quantum_slit_projectors_match_true_sandwich():
 def test_quantum_triple_coherence_vanishes():
     # at order 2 the inclusion-exclusion block of any triple is the zero map,
     # here assembled from the true lifted projectors rather than the blocks
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     total = np.zeros((9, 9))
     triple = s([0, 1, 2], 3)
     from hoisearch.subsets import coherence_expansion
@@ -610,16 +644,16 @@ def test_layout_defect_counts_block_runs_out_of_sector_order(monkeypatch):
     # reversed, every run is out of order, yet each block keeps its width:
     # completeness holds and the blocks are still orthogonal indicators
     _relaid(monkeypatch, lambda owner: owner[::-1].copy())
-    model = synthetic_model(5, 3)
+    model = Model("synthetic", 5, 3)
     assert coherence_layout_defect(model) == len(enumerate_sectors(model.n_slits, model.order)) == 25
     assert coherence_completeness_defect(model) == 0.0
     # blocks 0 and 1 swapped: neither follows its predecessor, nor does block
     # 2, which now follows block 0
     _relaid(monkeypatch, lambda owner: np.where(owner < 2, 1 - owner, owner))
-    assert coherence_layout_defect(synthetic_model(5, 3)) == 3
+    assert coherence_layout_defect(Model("synthetic", 5, 3)) == 3
     # blocks 0 and 1, two coordinates wide, interleaved: four runs of one
     # coordinate, all short of their width (and block 0's second run out of order)
-    wide = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+    wide = Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})
     _relaid(monkeypatch, lambda owner: owner[[0, 2, 1, 3, *range(4, owner.size)]])
     assert coherence_layout_defect(wide) == 4
     # block 0's last coordinate moved into block 1: two runs off their widths
@@ -633,7 +667,7 @@ def test_layout_defect_counts_block_runs_out_of_sector_order(monkeypatch):
 
 
 def test_pythagoras_over_random_vectors():
-    model = synthetic_model(6, 3)
+    model = Model("synthetic", 6, 3)
     rng = np.random.default_rng(8)
     for _ in range(100):
         state = rng.standard_normal(model.space.total_dim)
@@ -645,7 +679,7 @@ def test_pythagoras_over_random_vectors():
 
 
 def test_corrupted_projectors_fail_verification():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     # block 0 leaks onto coordinate 3, which belongs to another block
     family = projector_family(model)
     family[0, 3] = 1e-3
@@ -656,7 +690,7 @@ def test_corrupted_projectors_fail_verification():
 
 
 def test_projector_family_of_the_wrong_shape_is_rejected():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     family = projector_family(model)
     for bad in (family[:-1], family[:, :-1], family[0]):
         with pytest.raises(ValueError, match="projectors of 9 coordinates"):
@@ -682,9 +716,9 @@ def product_tensor_orthogonality_defects(model, family, n_vectors=100, seed=2024
 
 
 ORTHOGONALITY_MODELS = (
-    [classical_model(n) for n in range(1, 7)]
-    + [quantum_model(n) for n in range(2, 7)]
-    + [synthetic_model(n, h) for n in range(3, 7) for h in (3, 4) if h <= n]
+    [Model("classical", n) for n in range(1, 7)]
+    + [Model("quantum", n) for n in range(2, 7)]
+    + [Model("synthetic", n, h) for n in range(3, 7) for h in (3, 4) if h <= n]
 )
 
 
@@ -699,7 +733,7 @@ def test_orthogonality_defects_equal_the_product_tensor(model):
 
 
 def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
-    model = synthetic_model(5, 3)
+    model = Model("synthetic", 5, 3)
     rng = np.random.default_rng(11)
     m = model.space.total_dim
     for scale in (1.0, 1e-3, 1e3):
@@ -722,7 +756,7 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
     assert got[0] == 1.0
     assert not (got[0] < DEFAULT_TOL and got[1] < DEFAULT_TOL)
     # a single sector: the diagonal term alone
-    single = classical_model(1)
+    single = Model("classical", 1)
     family = np.array([[-0.5]])
     got = dense_orthogonality_defects(single, family)
     assert got == product_tensor_orthogonality_defects(single, family)
@@ -730,7 +764,7 @@ def test_orthogonality_defects_equal_the_product_tensor_off_projectors():
 
 
 def test_orthogonality_defect_with_a_nan_fails():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     family = projector_family(model)
     family[2, 1] = np.nan
     pair, pyth = dense_orthogonality_defects(model, family)
@@ -743,15 +777,15 @@ def test_interference_order_detection():
     specs += [("quantum", n, 2) for n in range(2, 8)]
     specs += [("synthetic", n, h) for n in range(1, 8) for h in range(1, n + 1)]
     for kind, n, h in specs:
-        assert interference_order(build_model(kind, n, h)) == h, (kind, n, h)
-    assert interference_order(synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})) == 3
+        assert interference_order(Model(kind, n, h)) == h, (kind, n, h)
+    assert interference_order(Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})) == 3
 
 
 def test_interference_order_that_never_closes_is_a_numeric_error(monkeypatch):
     right = models.slit_projector
     monkeypatch.setattr(models, "slit_projector", lambda model, subset: 0.5 * right(model, subset))
     with pytest.raises(NumericError, match="never closes"):
-        interference_order(quantum_model(4))
+        interference_order(Model("quantum", 4))
 
 
 # ---------------------------------------------------------------------------
@@ -759,13 +793,13 @@ def test_interference_order_that_never_closes_is_a_numeric_error(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_lift_identity_is_identity():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     lifted = lift_unitary_conjugation(model, np.eye(3))
     assert np.max(np.abs(lifted - np.eye(9))) < 1e-12
 
 
 def test_lift_diffusion_is_orthogonal_and_fixes_uniform():
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     n = 4
     diffusion = np.full((n, n), 2.0 / n) - np.eye(n)
     lifted = lift_unitary_conjugation(model, diffusion)
@@ -775,14 +809,14 @@ def test_lift_diffusion_is_orthogonal_and_fixes_uniform():
 
 
 def test_lift_rejects_non_unitary():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     with pytest.raises(ValueError):
         lift_unitary_conjugation(model, np.ones((3, 3)))
 
 
 def test_random_reversible_is_seeded_and_orthogonal():
     # a random step on the identity batch is an M x M matrix
-    model = synthetic_model(4, 3)
+    model = Model("synthetic", 4, 3)
     eye = np.eye(model.space.total_dim)
     a = random_schedule(model, 123).apply(1, eye).T
     b = random_schedule(model, 123).apply(1, eye).T

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from hoisearch.models import (
-    classical_model,
-    quantum_model,
+    Model,
     sign_flip_oracle,
-    synthetic_model,
 )
 from hoisearch.search import oracle_displacement
 from hoisearch.subsets import SlitSet, enumerate_sectors
@@ -21,14 +19,14 @@ def s(members, universe):
 
 
 def test_classical_oracle_is_identity():
-    model = classical_model(5)
+    model = Model("classical", 5)
     for x in range(5):
         assert np.array_equal(sign_flip_oracle(model, x), np.ones(5))
 
 
 def test_oracle_rejects_out_of_range_items():
     with pytest.raises(ValueError):
-        sign_flip_oracle(classical_model(3), 3)
+        sign_flip_oracle(Model("classical", 3), 3)
 
 
 @pytest.mark.parametrize(
@@ -37,27 +35,27 @@ def test_oracle_rejects_out_of_range_items():
 def test_batched_oracle_rejects_any_out_of_range_item(items, bad):
     # the first item out of range is named, with the single-item message
     with pytest.raises(ValueError, match=rf"^marked item {bad} out of range 0\.\.2$"):
-        sign_flip_oracle(quantum_model(3), items)
+        sign_flip_oracle(Model("quantum", 3), items)
 
 
 @pytest.mark.parametrize("items", [1.0, [0, 2.5], [True, False], True, []])
 def test_oracle_rejects_items_that_are_not_integers(items):
     with pytest.raises(ValueError, match="marked items must be integers"):
-        sign_flip_oracle(quantum_model(3), items)
+        sign_flip_oracle(Model("quantum", 3), items)
 
 
 @pytest.mark.parametrize("bad", [3, 7, -1])
 def test_verify_oracle_rejects_out_of_range_items(bad):
     # the identity fixes everything, so an unchecked item would pass
     with pytest.raises(ValueError, match=rf"^marked item {bad} out of range 0\.\.2$"):
-        verify_oracle(quantum_model(3), np.eye(9), bad)
+        verify_oracle(Model("quantum", 3), np.eye(9), bad)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_quantum_oracle_equals_phase_conjugation(n):
     # brute-force route: conjugation by the diagonal phase unitary that flags
     # the marked basis state, lifted to sector coordinates
-    model = quantum_model(n)
+    model = Model("quantum", n)
     for x in range(n):
         phase = np.eye(n, dtype=complex)
         phase[x, x] = -1.0
@@ -67,7 +65,7 @@ def test_quantum_oracle_equals_phase_conjugation(n):
 
 
 def test_synthetic_oracle_sign_pattern():
-    model = synthetic_model(4, 3)
+    model = Model("synthetic", 4, 3)
     diag = sign_flip_oracle(model, 0)
     flipped = {
         sector for b, sector in enumerate(enumerate_sectors(model.n_slits, model.order))
@@ -81,12 +79,12 @@ def test_synthetic_oracle_sign_pattern():
 
 
 # the only layout whose singleton blocks are wider than one coordinate
-WIDE = synthetic_model(4, 3, {1: 2, 2: 3, 3: 1})
+WIDE = Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})
 IDS = ["classical", "quantum", "synthetic", "synthetic-wide"]
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 3), WIDE], ids=IDS
+    "model", [Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 3), WIDE], ids=IDS
 )
 def test_oracle_is_an_orthogonal_involution(model):
     for x in range(model.n_slits):
@@ -97,7 +95,7 @@ def test_oracle_is_an_orthogonal_involution(model):
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 3), WIDE], ids=IDS
+    "model", [Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 3), WIDE], ids=IDS
 )
 def test_batched_oracle_stacks_the_single_item_oracles(model):
     for items in ([3, 0, 0, 2, 1], (2,), np.arange(model.n_slits)):
@@ -107,7 +105,7 @@ def test_batched_oracle_stacks_the_single_item_oracles(model):
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(4), quantum_model(4), synthetic_model(4, 4), WIDE], ids=IDS
+    "model", [Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 4), WIDE], ids=IDS
 )
 def test_sign_flip_oracle_passes_verification_exactly(model):
     for x in range(model.n_slits):
@@ -119,7 +117,7 @@ def test_sign_flip_oracle_passes_verification_exactly(model):
 
 
 def test_identity_map_is_a_valid_oracle_for_every_item():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     identity = np.eye(model.space.total_dim)
     for x in range(3):
         assert verify_oracle(model, identity, x).passed
@@ -128,7 +126,7 @@ def test_identity_map_is_a_valid_oracle_for_every_item():
 def test_block_permuting_map_fails_commutation():
     # swap the {0,1} pair block with the {0,2} pair block; orthogonal, but it
     # moves coherence between sectors, which the oracle axioms forbid
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     m = np.eye(9)
     a = np.flatnonzero(coherence_projector(model, s([0, 1], 3)))
     b = np.flatnonzero(coherence_projector(model, s([0, 2], 3)))
@@ -142,7 +140,7 @@ def test_block_permuting_map_fails_commutation():
 def test_fix_condition_catches_action_on_unmarked_sectors():
     # flipping a sector that does not contain the marked item violates the
     # fixed-sector condition even though everything commutes
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     diag = 1.0 - 2.0 * coherence_projector(model, s([1, 2], 3))
     check = verify_oracle(model, np.diag(diag), 0)
     assert check.commutation_defect == 0.0
@@ -161,7 +159,7 @@ def test_fix_condition_catches_action_on_unmarked_sectors():
     ids=["cross-block", "fixed-block"],
 )
 def test_verify_oracle_reports_a_nan_entry(entry, field, other):
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     mat = np.diag(sign_flip_oracle(model, 0))
     mat[entry] = np.nan
     check = verify_oracle(model, mat, 0)
@@ -171,7 +169,7 @@ def test_verify_oracle_reports_a_nan_entry(entry, field, other):
 
 
 @pytest.mark.parametrize(
-    "model", [quantum_model(3), synthetic_model(4, 3)], ids=lambda m: m.kind
+    "model", [Model("quantum", 3), Model("synthetic", 4, 3)], ids=lambda m: m.kind
 )
 def test_verify_oracle_rejects_a_candidate_that_is_not_m_by_m(model):
     m = model.space.total_dim
@@ -202,7 +200,7 @@ def test_quantum_uniform_displacement_closed_form(n):
     # hand computation: each of the N-1 pairs through the marked slit holds
     # coordinate sqrt(2)/N, doubling it costs 8/N^2, summed over pairs and
     # marked items: 8 (N-1) / N
-    model = quantum_model(n)
+    model = Model("quantum", n)
     expected = 8.0 * (n - 1) / n
     assert oracle_displacement(model, model.uniform_state) == pytest.approx(
         expected, abs=1e-12
@@ -211,7 +209,7 @@ def test_quantum_uniform_displacement_closed_form(n):
 
 
 def test_diagonal_only_states_are_not_displaced():
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     rng = np.random.default_rng(2)
     probs = rng.dirichlet(np.ones(4))
     state = np.zeros(model.space.total_dim)
@@ -220,7 +218,7 @@ def test_diagonal_only_states_are_not_displaced():
 
 
 @pytest.mark.parametrize(
-    "model", [classical_model(6), quantum_model(4), synthetic_model(5, 3), WIDE], ids=IDS
+    "model", [Model("classical", 6), Model("quantum", 4), Model("synthetic", 5, 3), WIDE], ids=IDS
 )
 def test_displacement_bound_and_literal_agreement(model):
     rng = np.random.default_rng(42)
@@ -235,7 +233,7 @@ def test_displacement_bound_and_literal_agreement(model):
 
 def test_oracle_acts_only_on_marked_multislit_sectors():
     # the query moves nothing on singleton blocks or blocks missing the item
-    model = synthetic_model(5, 3)
+    model = Model("synthetic", 5, 3)
     rng = np.random.default_rng(9)
     state = rng.standard_normal(model.space.total_dim)
     for x in range(5):

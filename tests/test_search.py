@@ -25,12 +25,9 @@ import pytest
 import hoisearch.models
 import hoisearch.search
 from hoisearch.models import (
+    Model,
     NumericError,
-    build_model,
-    classical_model,
-    quantum_model,
     sign_flip_oracle,
-    synthetic_model,
 )
 from hoisearch.subsets import EnumerationLimitError
 from hoisearch.search import (
@@ -74,7 +71,7 @@ def assert_reports_equal(got, want, label=None, rel=0.0):
 
 
 def grover_run(n, k_max):
-    model = quantum_model(n)
+    model = Model("quantum", n)
     return model, run_search(model, grover_schedule(model), k_max)
 
 
@@ -135,14 +132,14 @@ def amplitude_grover_reference(n, k_max):
 # ---------------------------------------------------------------------------
 
 def test_uniform_start_success_is_one_over_n():
-    for model in (classical_model(4), quantum_model(4), synthetic_model(4, 3)):
+    for model in (Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 3)):
         assert model.uniform_state[model.basis_index] == pytest.approx(np.full(4, 0.25))
         report = run_search(model, reflection_schedule(model), 0)
         assert report.success[0] == pytest.approx(np.full(4, 0.25))
 
 
 def test_success_probability_on_target_state():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     target = np.zeros(model.space.total_dim)
     target[model.basis_index[1]] = 1.0
     report = run_search(model, grover_schedule(model), 0, marked=(1,), start=target)
@@ -155,7 +152,7 @@ def test_success_probability_on_target_state():
 
 
 def test_reflection_fixes_axis_and_is_an_orthogonal_involution():
-    model = synthetic_model(4, 3)
+    model = Model("synthetic", 4, 3)
     reflect = reflection_schedule(model)
     eye = np.eye(model.space.total_dim)
     fixed = reflect.apply(1, model.uniform_state[None, :])[0]
@@ -172,7 +169,7 @@ def test_reflection_fixes_axis_and_is_an_orthogonal_involution():
 def test_sector_reflection_differs_from_lifted_diffusion():
     # both fix the embedded uniform state, but they are different orthogonal
     # maps; quantum schedules must use the conjugation
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     eye = np.eye(9)
     grover = grover_schedule(model)
     reflected = reflection_schedule(model).apply(1, eye)
@@ -185,14 +182,14 @@ def test_grover_step_matches_the_lifted_diffusion():
     # the batch conjugation against the dense lift, built one coordinate at
     # a time; entries are O(1) sums of O(N^2) products
     for n in range(2, 9):
-        model = quantum_model(n)
+        model = Model("quantum", n)
         step = grover_schedule(model).apply(1, np.eye(model.space.total_dim)).T
         lifted = lift_unitary_conjugation(model, np.full((n, n), 2.0 / n) - np.eye(n))
         assert np.max(np.abs(step - lifted)) < 1e-12, n
 
 
 def test_reflect_step_matches_the_explicit_reflection():
-    for model in (classical_model(5), quantum_model(4), synthetic_model(5, 3)):
+    for model in (Model("classical", 5), Model("quantum", 4), Model("synthetic", 5, 3)):
         s = model.uniform_state
         explicit = 2.0 * np.outer(s, s) / np.dot(s, s) - np.eye(s.shape[0])
         step = reflection_schedule(model).apply(1, np.eye(s.shape[0])).T
@@ -200,7 +197,7 @@ def test_reflect_step_matches_the_explicit_reflection():
 
 
 def test_random_schedule_is_deterministic_with_distinct_steps():
-    model = synthetic_model(4, 2)
+    model = Model("synthetic", 4, 2)
     rows = np.random.default_rng(3).standard_normal((3, model.space.total_dim))
     schedule = random_schedule(model, 7)
     out = schedule.apply(1, rows)
@@ -214,7 +211,7 @@ def test_random_schedule_is_deterministic_with_distinct_steps():
 def test_random_step_has_the_haar_law():
     # a Haar step sends a unit vector to a uniform point on the unit sphere
     # of R^M, whose squared first coordinate has mean 1/M
-    model = synthetic_model(4, 2)
+    model = Model("synthetic", 4, 2)
     m = model.space.total_dim
     unit = model.uniform_state[None, :] / np.linalg.norm(model.uniform_state)
     samples = np.array(
@@ -226,8 +223,8 @@ def test_random_step_has_the_haar_law():
 
 @pytest.mark.parametrize(
     "model",
-    [classical_model(12), quantum_model(8), quantum_model(16), synthetic_model(8, 3),
-     synthetic_model(6, 3, {1: 2, 2: 3, 3: 1})],
+    [Model("classical", 12), Model("quantum", 8), Model("quantum", 16), Model("synthetic", 8, 3),
+     Model("synthetic", 6, 3, {1: 2, 2: 3, 3: 1})],
     ids=["classical-12", "quantum-8", "quantum-16", "synthetic-8-3", "synthetic-6-dims-231"],
 )
 def test_random_step_matches_the_explicit_basis_step(model):
@@ -252,7 +249,7 @@ def test_random_step_matches_the_explicit_basis_step(model):
 # ---------------------------------------------------------------------------
 
 def test_trajectories_start_at_the_start_state():
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     report = run_search(model, grover_schedule(model), 2)
     # row 0: every trajectory and the control sit exactly on the start state
     assert report.divergence[0] == 0.0
@@ -263,7 +260,7 @@ def test_trajectories_start_at_the_start_state():
 
 
 def test_trajectory_norm_conservation():
-    for model in (quantum_model(4), synthetic_model(5, 3)):
+    for model in (Model("quantum", 4), Model("synthetic", 5, 3)):
         report = run_search(model, random_schedule(model, 3), 6)
         # ||s_x - e_x||^2 = 2 - 2 <e_x, s_x> for unit-norm s_x and e_x
         expected = 2.0 * len(report.marked) - 2.0 * report.success.sum(axis=1)
@@ -275,14 +272,14 @@ def test_classical_oracle_never_separates_trajectories():
     # stay bit-identical, though the triangular factor of equal columns
     # differs in the last bit (classical(12) has M = 12 < r = 13 rows)
     for n in (6, 12, 300):
-        model = classical_model(n)
+        model = Model("classical", n)
         report = run_search(model, random_schedule(model, 11), 8)
         assert np.all(report.divergence == 0.0), n
         assert np.all(report.gap_with_oracle == report.gap_without_oracle), n
 
 
 def test_run_search_rejects_irreversible_steps():
-    model = quantum_model(3)
+    model = Model("quantum", 3)
     scaled = Schedule("scaled", lambda _k, rows: 2.0 * rows)
     # a NaN defect is no smaller than any tolerance either
     nan_rows = Schedule("nan", lambda _k, rows: np.full_like(rows, np.nan))
@@ -294,7 +291,7 @@ def test_run_search_rejects_irreversible_steps():
 def test_run_search_checks_every_fresh_step():
     # Haar steps, one of them scaled off the orthogonal group: every step is
     # checked, not only the first
-    for model in (quantum_model(4), synthetic_model(8, 3)):
+    for model in (Model("quantum", 4), Model("synthetic", 8, 3)):
         haar = random_schedule(model, 5)
         for bad_k in (1, 4, 8, 13, 20):
             def apply_fn(index, rows, bad_k=bad_k, haar=haar):
@@ -322,7 +319,7 @@ def test_run_memory_does_not_grow_with_k():
     # closed form that run_experiment takes for reflect runs
     tracemalloc.start()
     try:
-        model = classical_model(256)
+        model = Model("classical", 256)
         run_search(model, reflection_schedule(model), 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -331,7 +328,7 @@ def test_run_memory_does_not_grow_with_k():
 
 
 def test_run_search_marked_subset_and_accessors():
-    model = quantum_model(4)
+    model = Model("quantum", 4)
     report = run_search(model, grover_schedule(model), 1, marked=(2,))
     assert report.marked == (2,)
     assert report.success.shape == (2, 1)
@@ -343,8 +340,8 @@ def test_run_search_marked_subset_and_accessors():
 
 
 def test_run_search_rejects_foreign_start_state():
-    model = quantum_model(3)
-    other = quantum_model(4)
+    model = Model("quantum", 3)
+    other = Model("quantum", 4)
     with pytest.raises(ValueError, match=r"state has shape \(16,\), expected \(9,\)"):
         run_search(model, grover_schedule(model), 1, start=other.uniform_state)
 
@@ -469,7 +466,7 @@ def test_reflection_report_matches_dense_simulation():
     # N <= 16 and h <= 4 in every family, with N = 1, h = N and N = 2
     eps = np.finfo(float).eps
     for kind, n, h in REFLECT_SPECS:
-        model = build_model(kind, n, h)
+        model = Model(kind, n, h)
         k_max = default_k_max(n)
         dense = run_search(model, reflection_schedule(model), k_max)
         fast = reflection_report(model, k_max)
@@ -483,7 +480,7 @@ def test_reflection_report_matches_dense_simulation():
         assert fast.first_peak() == dense.first_peak(), (kind, n, h)
     # at N = 2 success starts exactly on 1/2: the crossing is at k = 0
     for kind, h in (("classical", 1), ("quantum", 2), ("synthetic", 1), ("synthetic", 2)):
-        report = reflection_report(build_model(kind, 2, h), 4)
+        report = reflection_report(Model(kind, 2, h), 4)
         assert report.success_min[0] == 0.5 and report.first_crossing() == 0, kind
 
 
@@ -491,11 +488,11 @@ def test_run_experiment_takes_the_reflect_closed_form_at_every_n(monkeypatch):
     forbid_sector_enumeration(monkeypatch, "a reflect run")
     for kind, n, h in REFLECT_SPECS + [("synthetic", 1000, 3), ("quantum", 1000, 2)]:
         got = run_experiment(kind, n, "reflect", order=h)
-        expected = reflection_report(build_model(kind, n, h), default_k_max(n))
+        expected = reflection_report(Model(kind, n, h), default_k_max(n))
         assert_reports_equal(got, expected, (kind, n, h))
     # reflect is the default strategy of the classical and synthetic families
     assert_reports_equal(
-        run_experiment("synthetic", 9, order=3), reflection_report(build_model("synthetic", 9, 3), 12)
+        run_experiment("synthetic", 9, order=3), reflection_report(Model("synthetic", 9, 3), 12)
     )
 
 
@@ -504,9 +501,9 @@ def test_run_experiment_builds_a_reflect_model_once(monkeypatch):
 
     def counted(*args, **kwargs):
         built.append(args)
-        return build_model(*args, **kwargs)
+        return Model(*args, **kwargs)
 
-    monkeypatch.setattr(hoisearch.search, "build_model", counted)
+    monkeypatch.setattr(hoisearch.search, "Model", counted)
     run_experiment("synthetic", 9, "reflect", order=3)
     assert built == [("synthetic", 9, 3)]
 
@@ -532,7 +529,7 @@ def test_no_spec_error_builds_a_model(monkeypatch, args, kwargs, message):
 
 def test_random_runs_take_run_search_on_a_random_schedule():
     for kind, n, h in (("classical", 5, None), ("quantum", 4, None), ("synthetic", 5, 3)):
-        model = build_model(kind, n, h)
+        model = Model(kind, n, h)
         dense = run_search(model, random_schedule(model, 5), 3)
         got = run_experiment(kind, n, "random", order=h, seed=5, k_max=3)
         assert got.strategy == "random:5" and got.seed == 5, kind
@@ -546,7 +543,7 @@ def test_random_runs_take_run_search_on_a_random_schedule():
 )
 def test_reflect_spec_errors_are_the_models(kind, n, order):
     with pytest.raises(ValueError) as from_model:
-        build_model(kind, n, order)
+        Model(kind, n, order)
     with pytest.raises(ValueError) as from_run:
         run_experiment(kind, n, "reflect", order=order)
     assert str(from_run.value) == str(from_model.value)
@@ -570,7 +567,7 @@ class _Admitted(Exception):
 
 
 def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
-    for model in (classical_model(1024), synthetic_model(16, 4)):
+    for model in (Model("classical", 1024), Model("synthetic", 16, 4)):
         assert (model.n_slits + 1) * model.space.total_dim <= MAX_DENSE_ENTRIES
     with pytest.raises(EnumerationLimitError, match="past the guard"):
         run_experiment("quantum", 128, "random")
@@ -607,6 +604,34 @@ def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
         run_experiment("synthetic", 10**9, order=40, k_max=1)
 
 
+@pytest.mark.parametrize("kind, order", [("classical", None), ("quantum", None), ("synthetic", 3)])
+@pytest.mark.parametrize("k_max", [0, 1, 3])
+def test_closed_form_success_rows_stop_at_numpys_byte_limit(kind, order, k_max):
+    # the (k_max + 1, N) float64 success view is admitted while its bytes fit
+    # the largest array index; one item more is refused by the report guard,
+    # not by numpy
+    n = np.iinfo(np.intp).max // (8 * (k_max + 1))
+    report = run_experiment(kind, n, order=order, k_max=k_max)
+    assert report.success.shape == (k_max + 1, n)
+    with pytest.raises(EnumerationLimitError) as excinfo:
+        run_experiment(kind, n + 1, order=order, k_max=k_max)
+    assert str(excinfo.value) == (
+        f"a report over k = 0..{k_max} with {n + 1} success entries per k spans "
+        f"{(k_max + 1) * (n + 1) * 8} bytes, past numpy's limit of "
+        f"{np.iinfo(np.intp).max} bytes for one array"
+    )
+
+
+def test_random_schedule_refuses_a_negative_seed():
+    # numpy's seed sequence takes no negative entropy: the seed is refused
+    # when the schedule is made, even for a run with no step
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        random_schedule(Model("quantum", 4), -1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        run_experiment("classical", 4, "random", seed=-3, k_max=0)
+    assert random_schedule(Model("quantum", 4), 0).name == "random:0"
+
+
 def test_pure_state_distance_identity():
     # for unit-norm trajectories the target gap collapses to 2 sum (1 - success)
     _, report = grover_run(8, 6)
@@ -631,9 +656,9 @@ def three_buffer_measures(model, with_states, free_states):
 @pytest.mark.parametrize(
     "model, strategy",
     [
-        (quantum_model(13), "grover"),
-        (quantum_model(16), "random"),
-        (synthetic_model(16, 4), "random"),
+        (Model("quantum", 13), "grover"),
+        (Model("quantum", 16), "random"),
+        (Model("synthetic", 16, 4), "random"),
     ],
     ids=["quantum13-grover", "quantum16-random", "synthetic16-4-random"],
 )
@@ -657,9 +682,9 @@ def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
 
 def test_divergence_dominates_pair_lower_bound():
     for model, schedule in (
-        (quantum_model(4), None),
-        (synthetic_model(5, 3), None),
-        (classical_model(5), None),
+        (Model("quantum", 4), None),
+        (Model("synthetic", 5, 3), None),
+        (Model("classical", 5), None),
     ):
         schedule = random_schedule(model, 17)
         report = run_search(model, schedule, 6)
@@ -668,7 +693,7 @@ def test_divergence_dominates_pair_lower_bound():
 
 def test_one_step_recursion_inequality():
     # D_{k+1} <= (sqrt(D_k) + sqrt(displacement of the control state))^2
-    for model in (quantum_model(4), synthetic_model(4, 4), classical_model(6)):
+    for model in (Model("quantum", 4), Model("synthetic", 4, 4), Model("classical", 6)):
         schedule = random_schedule(model, 23)
         report = run_search(model, schedule, 7)
         _, free_states = trajectory_history(model, schedule, 7)
@@ -682,7 +707,7 @@ def test_first_crossing_and_first_peak():
     _, report = grover_run(16, 8)
     assert report.first_crossing() == 2
     assert report.first_peak() == 3
-    flat = run_search(classical_model(8), reflection_schedule(classical_model(8)), 5)
+    flat = run_search(Model("classical", 8), reflection_schedule(Model("classical", 8)), 5)
     assert flat.first_crossing() is None
     assert flat.first_peak() == 5  # flat series degenerates to the last index
 
@@ -728,7 +753,7 @@ def test_lower_bound_check_at_crossing():
 
 
 def test_lower_bound_check_is_vacuous_without_crossing():
-    model = classical_model(8)
+    model = Model("classical", 8)
     report = run_search(model, reflection_schedule(model), 4)
     check = check_lower_bound(report)
     assert not check.crossed and check.holds and check.crossing_k is None
