@@ -130,9 +130,8 @@ class Model:
     which hold the Re and Im parts of an off-diagonal entry; only the
     synthetic layout can differ from it, and every ``d_t`` must be an integer
     >= 1. N is capped at the largest array index, the length of
-    `basis_index`; a report's ``(k_max + 1, N)`` success rows can pass
-    numpy's limit on an array's bytes at a smaller N, which the report guard
-    of `search.run_experiment` counts. ``space`` is the checked layout.
+    `basis_index`, which a report's per-k arrays do not lower. ``space`` is
+    the checked layout.
     """
 
     kind: str

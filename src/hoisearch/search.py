@@ -197,12 +197,13 @@ class ProgressReport:
     distances of each family to the target basis states. ``upper_bound``, the
     ceiling ``4 h k^2``, and ``pair_lower_bound``, the reverse-triangle floor
     ``max(0, sqrt F_k - sqrt E_k)^2`` the divergence can never undercut, are
-    derived from those fields. ``success`` is each trajectory's overlap with
-    its target. It is the probability of finding the marked item only while
-    the trajectory stays a state of the theory, as under quantum ``grover``;
-    Haar steps and the sector-coordinate reflection can leave the state
-    space, and then it is a raw overlap that can fall outside [0, 1]
-    (quantum ``reflect`` at N = 2 reads -0.5 at k = 1).
+    derived from those fields. ``success_mean`` and ``success_min`` reduce,
+    per k, each marked trajectory's overlap with its target. It is the
+    probability of finding the marked item only while the trajectory stays a
+    state of the theory, as under quantum ``grover``; Haar steps and the
+    sector-coordinate reflection can leave the state space, and then it is a
+    raw overlap that can fall outside [0, 1] (quantum ``reflect`` at N = 2
+    reads -0.5 at k = 1). One item's series is ``run_search(..., marked=(x,))``.
 
     A run succeeds at k when its worst marked item is found with probability
     at least 1/2 (``success_min >= 1/2``), the criterion
@@ -221,7 +222,6 @@ class ProgressReport:
     gap_with_oracle: np.ndarray
     gap_without_oracle: np.ndarray
     pair_lower_bound: np.ndarray = field(init=False)
-    success: np.ndarray  # (k_max + 1, n_marked)
     success_mean: np.ndarray  # mean over the marked items, per k
     success_min: np.ndarray  # worst marked item, per k
 
@@ -267,8 +267,8 @@ def run_search(
     Gram matrix (every inner product between trajectories, hence every norm
     and distance the bounds use) to within ``tol``, or ``NumericError`` is
     raised. The measures at query k are taken from the live batch after the
-    step, so memory is O(N M) whatever ``k_max`` is. ``start`` is an ``(M,)``
-    array, the model's uniform state by default; only its shape is checked.
+    step, so memory is O(N M + k). ``start`` is an ``(M,)`` array, the
+    model's uniform state by default; only its shape is checked.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -289,10 +289,8 @@ def run_search(
     basis = np.zeros((n_marked, m_dim))
     basis[np.arange(n_marked), model.basis_index[list(marked_items)]] = 1.0
 
-    divergence = np.empty(k_max + 1)
-    gap_with = np.empty(k_max + 1)
-    gap_without = np.empty(k_max + 1)
-    success = np.empty((k_max + 1, n_marked))
+    divergence, gap_with, gap_without, success_mean, success_min = np.empty((5, k_max + 1))
+    overlaps = np.empty(n_marked)  # each trajectory's overlap with its target
     # with - free, with - target, free - target: one einsum call sums all three
     diffs = np.empty((3, n_marked, m_dim))
     batch = np.tile(start_state, (n_marked + 1, 1))
@@ -312,7 +310,8 @@ def run_search(
         np.subtract(with_states, basis, out=diffs[1])
         np.subtract(free_state, basis, out=diffs[2])
         divergence[k], gap_with[k], gap_without[k] = np.einsum("txm,txm->t", diffs, diffs)
-        success[k] = np.einsum("xm,xm->x", with_states, basis)
+        np.einsum("xm,xm->x", with_states, basis, out=overlaps)
+        success_mean[k], success_min[k] = overlaps.mean(), overlaps.min()
 
     return ProgressReport(
         descriptor=model.descriptor(),
@@ -325,9 +324,8 @@ def run_search(
         divergence=divergence,
         gap_with_oracle=gap_with,
         gap_without_oracle=gap_without,
-        success=success,
-        success_mean=success.mean(axis=1),
-        success_min=success.min(axis=1),
+        success_mean=success_mean,
+        success_min=success_min,
     )
 
 
@@ -348,8 +346,7 @@ def quantum_grover_report(n_items: int, k_max: int) -> ProgressReport:
     * ``E_k = 2 N cos^2((2k+1) t)``,
     * ``F_k = 2 (N - 1)``.
 
-    ``success`` is a read-only broadcast view of shape ``(k_max + 1, N)``, so
-    time and memory are O(k) whatever N is.
+    Time and memory are O(k) whatever N is.
     """
     model = Model("quantum", n_items)
     if k_max < 0:
@@ -421,8 +418,8 @@ def _symmetric_report(
     divergence: np.ndarray, gap_with: np.ndarray, gap_without: float,
 ) -> ProgressReport:
     """A closed-form report: the N marked trajectories are relabelled copies
-    of one and the control's gap never changes. ``success`` is a read-only
-    broadcast view of ``per_item``, so memory is O(k) at any N."""
+    of one, so ``per_item`` is both the mean and the least success, and the
+    control's gap never changes."""
     steps, n = per_item.shape[0], model.n_slits
     return ProgressReport(
         descriptor=model.descriptor(),
@@ -435,7 +432,6 @@ def _symmetric_report(
         divergence=divergence,
         gap_with_oracle=gap_with,
         gap_without_oracle=np.full(steps, gap_without),
-        success=np.broadcast_to(per_item[:, None], (steps, n)),
         success_mean=per_item,
         success_min=per_item,
     )
@@ -451,8 +447,7 @@ def _symmetric_report(
 # 2.4.6, x86-64): the run's arrays peak at 166.3 MB (tracemalloc) and a
 # `bound` process at 224-226 MiB (ru_maxrss, 29 MiB of it the interpreter and
 # numpy before the run); neither figure depends on k. The cap also bounds a
-# report's per-k arrays, k_max + 1 entries a field (times N in a random run's
-# success).
+# report's per-k arrays, k_max + 1 entries a field, on every route.
 MAX_DENSE_ENTRIES = 2**21
 
 
@@ -478,8 +473,7 @@ def run_experiment(
     form at every N, so it has no step for ``tol`` to check; only ``random``
     runs simulate the dense sector coordinates, and one past
     `MAX_DENSE_ENTRIES` is refused with `EnumerationLimitError`, as is a
-    report whose per-k arrays would pass it or whose ``(k_max + 1, N)``
-    success rows would span more bytes than the largest array index.
+    report whose per-k arrays would pass it.
     """
     if strategy is None:
         strategy = default_strategy(kind)
@@ -500,21 +494,10 @@ def run_experiment(
             )
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rows = n_items if strategy == "random" else 1  # a closed form's success is a broadcast view
-    if (k_max + 1) * rows > MAX_DENSE_ENTRIES:
+    if k_max + 1 > MAX_DENSE_ENTRIES:
         raise EnumerationLimitError(
-            f"a report over k = 0..{k_max} with {rows} success entries per k "
-            f"needs {(k_max + 1) * rows} entries, past the guard of {MAX_DENSE_ENTRIES}"
-        )
-    # numpy refuses even a broadcast view whose shape spans more float64
-    # bytes than the largest array index, so the (k_max + 1, N) success rows
-    # are counted in bytes too
-    success_bytes = (k_max + 1) * n_items * 8
-    if success_bytes > np.iinfo(np.intp).max:
-        raise EnumerationLimitError(
-            f"a report over k = 0..{k_max} with {n_items} success entries per k "
-            f"spans {success_bytes} bytes, past numpy's limit of "
-            f"{np.iinfo(np.intp).max} bytes for one array"
+            f"a report field over k = 0..{k_max} needs {k_max + 1} entries, "
+            f"past the guard of {MAX_DENSE_ENTRIES}"
         )
 
     if strategy == "reflect":

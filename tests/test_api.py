@@ -1,11 +1,13 @@
 """The public names: every exported name resolves, and the package's surface
 is pinned, so that any addition or removal shows up as a reviewed diff."""
 
+import dataclasses
 import importlib
 
 import pytest
 
 import hoisearch
+from hoisearch.search import ProgressReport
 
 MODULES = ["hoisearch", "hoisearch.subsets", "hoisearch.models", "hoisearch.search"]
 
@@ -158,3 +160,23 @@ def test_module_surface_is_pinned(module_name):
 def test_removed_names_do_not_resolve(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_report_fields_are_pinned():
+    # per-k arrays and the run's spec only: no per-item array
+    assert [f.name for f in dataclasses.fields(ProgressReport)] == [
+        "descriptor",
+        "strategy",
+        "seed",
+        "n_slits",
+        "order",
+        "marked",
+        "k",
+        "divergence",
+        "upper_bound",
+        "gap_with_oracle",
+        "gap_without_oracle",
+        "pair_lower_bound",
+        "success_mean",
+        "success_min",
+    ]

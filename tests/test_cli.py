@@ -572,28 +572,30 @@ def test_report_past_the_size_guard_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: a report over k = 0..100000000000 with 1 success entries per k "
-        "needs 100000000001 entries, past the guard of 2097152\n"
+        "error: a report field over k = 0..100000000000 needs 100000000001 entries, "
+        "past the guard of 2097152\n"
     )
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, k_max",
     [
-        (("--model", "classical", "--n", "4611686018427387904", "--k-max", "1"),
-         "a report over k = 0..1 with 4611686018427387904 success entries per k "
-         "spans 73786976294838206464 bytes"),
-        (("--model", "synthetic", "--h", "3", "--n", "1000000000000000000", "--k-max", "2"),
-         "a report over k = 0..2 with 1000000000000000000 success entries per k "
-         "spans 24000000000000000000 bytes"),
+        (("--model", "classical", "--n", "4611686018427387904", "--k-max", "1"), 1),
+        (("--model", "synthetic", "--h", "3", "--n", "1000000000000000000", "--k-max", "2"), 2),
     ],
     ids=["classical", "synthetic"],
 )
-def test_report_past_numpys_byte_limit_is_the_guards_usage_error(capsys, argv, message):
+def test_report_past_numpys_byte_limit_is_the_guards_usage_error(capsys, argv, k_max):
+    # named for the refusal it once pinned: these runs' (k_max + 1, N) success
+    # rows passed numpy's byte limit. A report now holds per-k arrays only,
+    # so both run their closed form in O(k)
+    started = time.perf_counter()
     code, out, err = run_cli(capsys, "search", *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}, past numpy's limit of 9223372036854775807 bytes for one array\n"
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[2:-1]] == [str(k) for k in range(k_max + 1)]
+    assert lines[-1] == f"k*: saturated (success never reached 1/2 within k_max={k_max})"
 
 
 def test_negative_seed_is_a_usage_error(capsys):

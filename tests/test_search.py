@@ -70,6 +70,14 @@ def assert_reports_equal(got, want, label=None, rel=0.0):
             assert a == b, (label, field.name)
 
 
+def assert_per_k(report, k_max):
+    """Every array of a report holds one entry per query count, whatever N is."""
+    for field in dataclasses.fields(ProgressReport):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.shape == (k_max + 1,), field.name
+
+
 def grover_run(n, k_max):
     model = Model("quantum", n)
     return model, run_search(model, grover_schedule(model), k_max)
@@ -135,7 +143,8 @@ def test_uniform_start_success_is_one_over_n():
     for model in (Model("classical", 4), Model("quantum", 4), Model("synthetic", 4, 3)):
         assert model.uniform_state[model.basis_index] == pytest.approx(np.full(4, 0.25))
         report = run_search(model, reflection_schedule(model), 0)
-        assert report.success[0] == pytest.approx(np.full(4, 0.25))
+        assert report.success_mean[0] == pytest.approx(0.25)
+        assert report.success_min[0] == pytest.approx(0.25)
 
 
 def test_success_probability_on_target_state():
@@ -143,7 +152,7 @@ def test_success_probability_on_target_state():
     target = np.zeros(model.space.total_dim)
     target[model.basis_index[1]] = 1.0
     report = run_search(model, grover_schedule(model), 0, marked=(1,), start=target)
-    assert report.success[0, 0] == 1.0
+    assert report.success_mean[0] == report.success_min[0] == 1.0
     assert report.gap_with_oracle[0] == 0.0
     with pytest.raises(ValueError, match="out of range"):
         run_search(model, grover_schedule(model), 0, marked=(3,))
@@ -254,16 +263,16 @@ def test_trajectories_start_at_the_start_state():
     # row 0: every trajectory and the control sit exactly on the start state
     assert report.divergence[0] == 0.0
     assert report.gap_with_oracle[0] == report.gap_without_oracle[0]
-    assert np.array_equal(
-        report.success[0], model.uniform_state[model.basis_index]
-    )
+    at_targets = model.uniform_state[model.basis_index]
+    assert report.success_mean[0] == at_targets.mean()
+    assert report.success_min[0] == at_targets.min()
 
 
 def test_trajectory_norm_conservation():
     for model in (Model("quantum", 4), Model("synthetic", 5, 3)):
         report = run_search(model, random_schedule(model, 3), 6)
         # ||s_x - e_x||^2 = 2 - 2 <e_x, s_x> for unit-norm s_x and e_x
-        expected = 2.0 * len(report.marked) - 2.0 * report.success.sum(axis=1)
+        expected = 2.0 * len(report.marked) * (1.0 - report.success_mean)
         assert np.max(np.abs(report.gap_with_oracle - expected)) < 1e-9
 
 
@@ -327,16 +336,35 @@ def test_run_memory_does_not_grow_with_k():
     assert peak < 8e6
 
 
+def test_run_memory_is_o_n_m_plus_k():
+    # classical(64) under an identity step for 2048 queries: (k_max + 1, N)
+    # per-item success rows would alone be 1.05 MB, where the batch and its
+    # temporaries take a few hundred kB and the five per-k fields 82 kB
+    n, k_max = 64, 2048
+    model = Model("classical", n)
+    identity = Schedule("identity", lambda _k, rows: rows)
+    tracemalloc.start()
+    try:
+        run_search(model, identity, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k_max + 1) * n * 8
+
+
 def test_run_search_marked_subset_and_accessors():
     model = Model("quantum", 4)
-    report = run_search(model, grover_schedule(model), 1, marked=(2,))
-    assert report.marked == (2,)
-    assert report.success.shape == (2, 1)
-    assert report.success[0, 0] == pytest.approx(0.25)
-    assert report.success[1, 0] == pytest.approx(1.0, abs=1e-9)
-    # the control starts on the uniform state, which the diffusion fixes
-    assert report.divergence[0] == 0.0
-    assert report.gap_without_oracle[1] == pytest.approx(report.gap_without_oracle[0], abs=1e-9)
+    for x in range(4):
+        report = run_search(model, grover_schedule(model), 1, marked=(x,))
+        assert report.marked == (x,)
+        # one marked item: its own series is both the mean and the least
+        assert report.success_min.shape == report.success_mean.shape == (2,)
+        assert np.array_equal(report.success_mean, report.success_min)
+        assert report.success_min[0] == pytest.approx(0.25)
+        assert report.success_min[1] == pytest.approx(1.0, abs=1e-9)
+        # the control starts on the uniform state, which the diffusion fixes
+        assert report.divergence[0] == 0.0
+        assert report.gap_without_oracle[1] == pytest.approx(report.gap_without_oracle[0], abs=1e-9)
 
 
 def test_run_search_rejects_foreign_start_state():
@@ -352,7 +380,8 @@ def test_run_search_rejects_foreign_start_state():
 
 def test_single_iteration_exactness_at_four_items():
     _, report = grover_run(4, 2)
-    assert report.success[1] == pytest.approx(np.ones(4), abs=1e-9)
+    assert report.success_mean[1] == pytest.approx(1.0, abs=1e-9)
+    assert report.success_min[1] == pytest.approx(1.0, abs=1e-9)
     assert report.divergence[1] == pytest.approx(6.0, abs=1e-9)
     assert report.upper_bound[1] == 8.0
     assert report.divergence[0] == 0.0
@@ -366,9 +395,8 @@ def test_quantum_success_and_divergence_match_trigonometry():
     _, report = grover_run(n, k_max)
     for k in range(k_max + 1):
         expected_success = math.sin((2 * k + 1) * theta) ** 2
-        assert report.success[k] == pytest.approx(
-            np.full(n, expected_success), abs=1e-9
-        ), k
+        assert report.success_mean[k] == pytest.approx(expected_success, abs=1e-9), k
+        assert report.success_min[k] == pytest.approx(expected_success, abs=1e-9), k
         expected_divergence = 2 * n * math.sin(2 * k * theta) ** 2
         assert report.divergence[k] == pytest.approx(expected_divergence, abs=1e-9), k
 
@@ -384,7 +412,8 @@ def test_fast_path_matches_dense_simulation():
             "gap_with_oracle",
             "gap_without_oracle",
             "pair_lower_bound",
-            "success",
+            "success_mean",
+            "success_min",
         ):
             assert getattr(dense, attr) == pytest.approx(getattr(fast, attr), abs=1e-9), (n, attr)
         assert (fast.descriptor, fast.strategy, fast.seed, fast.n_slits, fast.order) == (
@@ -424,7 +453,8 @@ def test_fast_path_matches_amplitude_simulation():
         # (error <= N eps per amplitude), accumulated over k_max steps; every
         # per-item term lies in [0, 2], so the sums over N items get 2N times that
         per_term = k_max * n * eps
-        assert np.max(np.abs(fast.success - succ)) <= per_term, n
+        assert np.max(np.abs(fast.success_mean - succ.mean(axis=1))) <= per_term, n
+        assert np.max(np.abs(fast.success_min - succ.min(axis=1))) <= per_term, n
         for name, ref, got in (
             ("D_k", divergence, fast.divergence),
             ("E_k", gap_with, fast.gap_with_oracle),
@@ -443,13 +473,10 @@ def test_fast_path_is_o_k_at_a_million_items():
     started = time.perf_counter()
     report = quantum_grover_report(n, default_k_max(n))
     assert time.perf_counter() - started < 1.0
-    assert report.success.shape == (default_k_max(n) + 1, n)
-    assert not report.success.flags.writeable
-    assert report.success.strides[1] == 0  # one column of storage, not N
-    # the summaries are the per-item series itself, not reductions over N columns
-    per_item = report.success[:, 0]
+    assert_per_k(report, default_k_max(n))
+    # the N items share one series: it is both the mean and the least
+    per_item = report.success_min
     assert np.array_equal(report.success_mean, per_item)
-    assert np.array_equal(report.success_min, per_item)
     started = time.perf_counter()
     assert report.first_crossing() == int(np.argmax(per_item >= 0.5))
     assert time.perf_counter() - started < 1.0
@@ -558,7 +585,7 @@ def test_reflect_at_a_million_items_saturates_below_the_ceiling():
         assert report.success_min[0] == 1.0 / n, (kind, h)
         # success_k <= 1 / (N cos phi) < 1/2 at every N >= 3
         assert report.first_crossing() is None, (kind, h)
-        assert report.success.strides[1] == 0, (kind, h)
+        assert_per_k(report, default_k_max(n))
     assert time.perf_counter() - started < 1.0
 
 
@@ -571,9 +598,9 @@ def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
         assert (model.n_slits + 1) * model.space.total_dim <= MAX_DENSE_ENTRIES
     with pytest.raises(EnumerationLimitError, match="past the guard"):
         run_experiment("quantum", 128, "random")
-    # a report holds k_max + 1 entries per field, times N in a random run's
-    # success rows; past the guard it is refused before any route allocates
-    # one (synthetic N = 10^15, h = 3 has the default k_max 126,491,107)
+    # a report holds k_max + 1 entries per field on every route; past the
+    # guard it is refused before any route allocates one (synthetic
+    # N = 10^15, h = 3 has the default k_max 126,491,107)
     def admitted(*_args, **_kwargs):
         raise _Admitted
 
@@ -585,17 +612,17 @@ def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
             (("quantum", 64), {"k_max": 2**21}),
             (("synthetic", 8, "reflect"), {"order": 3, "k_max": 2**21}),
             (("synthetic", 10**15), {"order": 3}),
-            (("quantum", 8, "random"), {"k_max": 2**18}),
+            (("quantum", 8, "random"), {"k_max": 2**21}),
         ]:
             with pytest.raises(EnumerationLimitError, match="entries, past the guard of 2097152"):
                 run_experiment(*args, **kwargs)
-        # N (k_max + 1) = 2^21 exactly
-        with pytest.raises(_Admitted):
-            run_experiment("quantum", 8, "random", k_max=2**18 - 1)
-    # a closed form's success is one broadcast column: 2^21 entries pass
+        # k_max + 1 = 2^21 exactly, and a random run is not held to N (k_max + 1)
+        for k_max in (2**18, 2**21 - 1):
+            with pytest.raises(_Admitted):
+                run_experiment("quantum", 8, "random", k_max=k_max)
     assert run_experiment("quantum", 64, k_max=2**21 - 1).k[-1] == 2**21 - 1
     assert run_experiment("synthetic", 10**9, order=4).k[-1] == default_k_max(10**9) == 126_492
-    # a report's success rows are N long, so N stops at the largest index
+    # a model's basis_index is N long, so N stops at the largest index
     for kind in ("classical", "quantum", "synthetic"):
         with pytest.raises(ValueError, match="past the largest array index"):
             run_experiment(kind, 10**170, order=2 if kind == "synthetic" else None, k_max=1)
@@ -607,19 +634,28 @@ def test_size_guards_refuse_early_and_admit_the_dense_runs_in_use(monkeypatch):
 @pytest.mark.parametrize("kind, order", [("classical", None), ("quantum", None), ("synthetic", 3)])
 @pytest.mark.parametrize("k_max", [0, 1, 3])
 def test_closed_form_success_rows_stop_at_numpys_byte_limit(kind, order, k_max):
-    # the (k_max + 1, N) float64 success view is admitted while its bytes fit
-    # the largest array index; one item more is refused by the report guard,
-    # not by numpy
-    n = np.iinfo(np.intp).max // (8 * (k_max + 1))
+    # named for the refusal it once pinned: a report held (k_max + 1, N)
+    # float64 success rows, refused once their bytes passed the largest array
+    # index. A report now holds per-k arrays only, so the first refused N is
+    # admitted, in O(k)
+    n = np.iinfo(np.intp).max // (8 * (k_max + 1)) + 1
+    started = time.perf_counter()
     report = run_experiment(kind, n, order=order, k_max=k_max)
-    assert report.success.shape == (k_max + 1, n)
-    with pytest.raises(EnumerationLimitError) as excinfo:
-        run_experiment(kind, n + 1, order=order, k_max=k_max)
-    assert str(excinfo.value) == (
-        f"a report over k = 0..{k_max} with {n + 1} success entries per k spans "
-        f"{(k_max + 1) * (n + 1) * 8} bytes, past numpy's limit of "
-        f"{np.iinfo(np.intp).max} bytes for one array"
+    assert time.perf_counter() - started < 1.0
+    assert_per_k(report, k_max)
+    assert report.n_slits == n
+    assert report.success_min[0] == report.success_mean[0] == 1.0 / n
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum", "synthetic"])
+def test_closed_forms_called_directly_take_any_n(kind):
+    n = 2**62
+    report = (
+        quantum_grover_report(n, 1) if kind == "quantum"
+        else reflection_report(Model(kind, n, 3 if kind == "synthetic" else None), 1)
     )
+    assert_per_k(report, 1)
+    assert report.success_min[0] == 2.0**-62
 
 
 def test_random_schedule_refuses_a_negative_seed():
@@ -635,13 +671,14 @@ def test_random_schedule_refuses_a_negative_seed():
 def test_pure_state_distance_identity():
     # for unit-norm trajectories the target gap collapses to 2 sum (1 - success)
     _, report = grover_run(8, 6)
-    expected = 2.0 * np.sum(1.0 - report.success, axis=1)
+    expected = 2.0 * len(report.marked) * (1.0 - report.success_mean)
     assert report.gap_with_oracle == pytest.approx(expected, abs=1e-9)
 
 
 def three_buffer_measures(model, with_states, free_states):
     """Reference measures on a stored history, with one (k+1, X, M)
-    difference array per measure: (D_k, E_k, F_k, success)."""
+    difference array per measure: (D_k, E_k, F_k, success), the last with
+    one column per marked item."""
     basis = np.eye(model.space.total_dim)[model.basis_index]
     diff_pair = with_states - free_states[:, None, :]
     divergence = np.einsum("kxm,kxm->k", diff_pair, diff_pair)
@@ -669,7 +706,8 @@ def test_progress_measures_equal_the_three_buffer_formula(model, strategy):
     divergence, gap_with, gap_without, success = three_buffer_measures(
         model, *trajectory_history(model, schedule, k_max)
     )
-    assert np.array_equal(report.success, success)
+    assert np.array_equal(report.success_mean, success.mean(axis=1))
+    assert np.array_equal(report.success_min, success.min(axis=1))
     # per-k sums of X * M terms, which einsum may reduce in another order over
     # a (3, X, M) stack than over a (k_max + 1, X, M) one
     for name, got, want in (
