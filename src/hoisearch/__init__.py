@@ -32,7 +32,6 @@ from .models import (
     NumericError,
     interference_order,
     sign_flip_oracle,
-    slit_projector,
 )
 from .search import (
     LowerBoundCheck,

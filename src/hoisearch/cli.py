@@ -133,14 +133,14 @@ def _write_output(args: argparse.Namespace, writer_csv, to_json) -> None:
 # (N, h) cell sums the expansions of the C(N, t) sectors of each size
 # t <= h, 2^t terms apiece, at about 5 us a term: the cells of `--n-max 12`
 # (3.85e6 terms) took 16-22 s and those of `--n-max 13` (1.24e7) 62 s. A
-# model cell of M coordinates checks the block layout in O(M + S N) and the
-# N oracle diagonals in O(N M), and builds no (M, M) or (S, M) array; its
-# time goes to `interference_order`, one slit projector per subset of size
-# <= h. Run
-# as processes, `--n 15 --h 4` (M = 1940) took 0.29-0.52 s at 31 MiB
-# ru_maxrss and `--n 11 --h 11` (M = 2047, the largest high-order cell
-# admitted) 0.88-0.96 s at 32 MiB, of which 29 MiB is the interpreter,
-# numpy and the package on import (`--n-max 6` peaks at 30 MiB).
+# model cell of M coordinates checks the block layout in O(M + S N), the
+# detected order from the block sizes in O(M + N^3) and the N oracle diagonals
+# in O(N M), with no (M, M) or (S, M) array; its ~20 ms at M = 2047 go to the
+# oracle row's flips, read from one `SlitSet` per sector. As processes (median
+# of 8), `--n 15 --h 4` (M = 1940) took 0.35 s (0.31-0.43 s) at 31 MiB
+# ru_maxrss and `--n 11 --h 11` (M = 2047, the largest high-order cell) 1.09 s
+# (0.87-1.43 s) at 31 MiB, nearly all in the exact cell; 29 MiB is the
+# interpreter, numpy and the package on import (`--n-max 6` peaks at 30 MiB).
 MAX_VERIFY_TERMS = 2**22
 MAX_VERIFY_DIM = 2**11
 
@@ -198,9 +198,9 @@ def _verify_model_cell(model: Model, label: str, tol: float) -> list[tuple[str, 
     rows.append((f"{label} completeness", defect < tol, f"defect {defect:.2e}"))
     misplaced = coherence_layout_defect(model)
     rows.append((f"{label} orthogonality", misplaced == 0, f"{misplaced} block runs out of sector order"))
-    # the projectors and the oracles index per-block vectors by `owner`: an
-    # entry past the blocks (an IndexError) fails their rows, as a
-    # decomposition that closes at no order does
+    # the order and the oracles index per-block vectors by `owner`: an entry
+    # past the blocks (an IndexError) fails their rows, as a decomposition
+    # that closes at no order does
     try:
         detected = interference_order(model, tol=tol)
     except (NumericError, IndexError):

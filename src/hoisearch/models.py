@@ -11,11 +11,11 @@ the inner product is the plain Euclidean dot product, reversible dynamics
 are exactly the orthogonal matrices, and every coherence projector is an
 axis-aligned block indicator. States are plain ``(M,)`` coordinate arrays, and a model's
 N distinguished basis states are unit vectors given by their coordinate
-index (`Model.basis_index`), not stored. Projectors and sign-flip oracles
-are diagonal in these coordinates and are returned as their diagonals, also
-``(M,)`` arrays. The block checks read the layout tables in O(M) and build
-no ``(M, M)`` or ``(S, M)`` array; their dense forms, which take any
-candidate matrix or block family, are test references (``tests/reference.py``).
+index (`Model.basis_index`), not stored. Sign-flip oracles are diagonal in
+these coordinates and are returned as their diagonals, also ``(M,)`` arrays.
+The block checks read the layout tables in O(M), and the interference order
+the block sizes alone; the slit projectors and a dense or per-subset form of
+each check are test references (``tests/reference.py``).
 Three families are provided:
 
 * classical (h = 1): probability vectors over N outcomes;
@@ -42,11 +42,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .subsets import EnumerationLimitError, SlitSet, identity_decomposition
+from .subsets import EnumerationLimitError, decomposition_coefficient
 
 __all__ = [
     "Model",
-    "slit_projector",
     "sign_flip_oracle",
     "haar_orthogonal",
     "coherence_completeness_defect",
@@ -266,26 +265,8 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Projectors and oracles
+# Oracles
 # ---------------------------------------------------------------------------
-
-def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
-    """Projector implementing "block every slit outside this subset".
-
-    Sum of the coherence blocks that involve no closed slit, read from
-    `SectorSpace.members`. The empty subset gives the zero map.
-    """
-    space = model.space
-    if open_slits.universe != space.n_slits:
-        raise ValueError(
-            f"subset universe {open_slits.universe} does not match the "
-            f"model's {space.n_slits} slits"
-        )
-    is_open = np.zeros(space.n_slits, dtype=bool)
-    is_open[list(open_slits.members)] = True
-    inside = ~space.members[:, ~is_open].any(axis=1)
-    return inside[space.owner].astype(float)
-
 
 def sign_flip_oracle(model: Model, marked: int | Sequence[int]) -> np.ndarray:
     """The canonical search oracle: flip the sign of every coherence block
@@ -382,16 +363,23 @@ def coherence_layout_defect(model: Model) -> int:
 
 
 def interference_order(model: Model, *, tol: float = DEFAULT_TOL) -> int:
-    """Smallest order at which the identity decomposition over the model's
-    slit projectors closes; equals the construction order for healthy models.
-    A decomposition that closes at no order up to N raises `NumericError`.
+    """Smallest order h' at which the identity decomposition over the model's
+    slit projectors closes; the construction order for healthy models. At h'
+    a block of t slits lies in ``C(N - t, j - t)`` of the open sets of size j,
+    each weighted ``decomposition_coefficient(h', j, N)``, so the sum on it
+    depends on t alone (a block of no slit lies in every open set) and is
+    summed in exact integers per block size of `SectorSpace.members`. No
+    closing order up to N raises `NumericError`; an ``owner`` entry past the
+    blocks raises `IndexError`.
     """
     space = model.space
     n = space.n_slits
-    for candidate in range(1, n + 1):
-        diag = np.zeros(space.total_dim)
-        for subset, coeff in identity_decomposition(candidate, n).items():
-            diag += coeff * slit_projector(model, subset)
-        if float(np.max(np.abs(diag - 1.0))) < tol:
+    # coefficients first: past the exact-arithmetic guard no table is built
+    coeffs = [[0] + [decomposition_coefficient(h, j, n) for j in range(1, h + 1)] for h in range(1, n + 1)]
+    # the block sizes that occur (np.unique would import numpy.ma, 0.8 MiB)
+    sizes = np.flatnonzero(np.bincount(space.members.sum(axis=1)[space.owner])).tolist()
+    for candidate, by_size in enumerate(coeffs, 1):
+        value = [sum(comb(n - t, j - t) * by_size[j] for j in range(max(t, 1), candidate + 1)) for t in sizes]
+        if max(abs(v - 1) for v in value) < tol:
             return candidate
     raise NumericError("the identity decomposition never closes; corrupt model?")

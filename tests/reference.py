@@ -1,9 +1,9 @@
 """Dense references that the tests compare the library against.
 
 None of these is on a run path of the library: `hoisearch.search.run_experiment`
-takes the closed forms for ``grover`` and ``reflect``, and the projector
-functions build their diagonals directly. Each reference computes the same
-quantity by a second, literal route:
+takes the closed forms for ``grover`` and ``reflect``, and the oracles and
+the interference order read the layout tables directly. Each reference
+computes the same quantity by a second, literal route:
 
 * `grover_schedule` and `reflection_schedule` step a `run_search` batch, the
   dense simulation that both closed-form reports are checked against;
@@ -24,11 +24,15 @@ quantity by a second, literal route:
   placement the embedding reads off `SectorSpace.owner`;
 * `coherence_projector` is one block's `(M,)` indicator, looked up by its
   sector;
-* `slit_projector_from_subsets` builds a slit projector block by block over
-  the open set's subsets, `coherence_from_slit_projectors` builds a
-  coherence block from its inclusion-exclusion expansion over slit
-  projectors, and `formal_sum` adds such subset -> coefficient expansions
-  term by term;
+* `slit_projector` is the `(M,)` diagonal of "block every slit outside this
+  subset", read from `SectorSpace.members`; `slit_projector_from_subsets`
+  builds it block by block over the open set's subsets,
+  `coherence_from_slit_projectors` builds a coherence block from its
+  inclusion-exclusion expansion over slit projectors,
+  `interference_order_from_subsets` sums a slit projector per subset of
+  `identity_decomposition` at each order, the literal route to
+  `hoisearch.models.interference_order`'s per-block-size sum, and
+  `formal_sum` adds such subset -> coefficient expansions term by term;
 * `verify_oracle` checks a candidate oracle given as its (M, M) matrix
   against the oracle axioms, with the Gram product for orthogonality, and
   `dense_completeness_defect` / `dense_orthogonality_defects` check an
@@ -57,9 +61,9 @@ from hoisearch._version import __version__
 from hoisearch.models import (
     DEFAULT_TOL,
     Model,
+    NumericError,
     SectorSpace,
     haar_orthogonal,
-    slit_projector,
 )
 from hoisearch.search import (
     REPORT_CSV_COLUMNS,
@@ -68,7 +72,7 @@ from hoisearch.search import (
     Schedule,
     SweepResult,
 )
-from hoisearch.subsets import SlitSet, coherence_expansion, enumerate_sectors
+from hoisearch.subsets import SlitSet, coherence_expansion, enumerate_sectors, identity_decomposition
 
 
 def quantum_index(model: Model) -> tuple[np.ndarray, ...]:
@@ -237,6 +241,24 @@ def coherence_projector(model: Model, sector: SlitSet) -> np.ndarray:
     return (model.space.owner == sectors.index(sector)).astype(float)
 
 
+def slit_projector(model: Model, open_slits: SlitSet) -> np.ndarray:
+    """Projector implementing "block every slit outside this subset".
+
+    Sum of the coherence blocks that involve no closed slit, read from
+    `SectorSpace.members`. The empty subset gives the zero map.
+    """
+    space = model.space
+    if open_slits.universe != space.n_slits:
+        raise ValueError(
+            f"subset universe {open_slits.universe} does not match the "
+            f"model's {space.n_slits} slits"
+        )
+    is_open = np.zeros(space.n_slits, dtype=bool)
+    is_open[list(open_slits.members)] = True
+    inside = ~space.members[:, ~is_open].any(axis=1)
+    return inside[space.owner].astype(float)
+
+
 def slit_projector_from_subsets(model: Model, open_slits: SlitSet) -> np.ndarray:
     """A slit projector as the sum of the coherence blocks of every nonempty
     subset of the open slits up to the model order, placed by `block_offsets`.
@@ -251,6 +273,21 @@ def slit_projector_from_subsets(model: Model, open_slits: SlitSet) -> np.ndarray
         start = offsets[sub]
         diag[start : start + space.dims_per_size[len(sub)]] = 1.0
     return diag
+
+
+def interference_order_from_subsets(model: Model, *, tol: float = DEFAULT_TOL) -> int:
+    """`interference_order` as the literal sum: at each order h', the slit
+    projector of every subset in `identity_decomposition(h', N)` times its
+    coefficient, until the sum is the identity."""
+    space = model.space
+    n = space.n_slits
+    for candidate in range(1, n + 1):
+        diag = np.zeros(space.total_dim)
+        for subset, coeff in identity_decomposition(candidate, n).items():
+            diag += coeff * slit_projector(model, subset)
+        if float(np.max(np.abs(diag - 1.0))) < tol:
+            return candidate
+    raise NumericError("the identity decomposition never closes; corrupt model?")
 
 
 def coherence_from_slit_projectors(model: Model, sector: SlitSet) -> np.ndarray:

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "sign_flip_oracle",
     "signed_pairing_count_closed",
     "signed_pairing_counts",
-    "slit_projector",
 ]
 
 # the surface of each layer, sorted; `SectorSpace`, the type of `Model.space`,
@@ -56,7 +55,6 @@ MODULE_NAMES = {
         "haar_orthogonal",
         "interference_order",
         "sign_flip_oracle",
-        "slit_projector",
     ],
     "hoisearch.search": [
         "LOWER_BOUND_CONSTANT",
@@ -130,6 +128,7 @@ REMOVED_NAMES = [
     "synthetic_model",
     "model_order",
     "default_dims_per_size",
+    "slit_projector",
 ]
 
 

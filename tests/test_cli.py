@@ -180,8 +180,8 @@ def test_verify_reports_blocks_out_of_sector_order(capsys, monkeypatch):
 def test_verify_reports_a_decomposition_that_never_closes(capsys, monkeypatch):
     # a numeric failure, not a usage error: the detected-order row fails and
     # every other row is still printed
-    right = hoisearch.models.slit_projector
-    monkeypatch.setattr(hoisearch.models, "slit_projector", lambda model, subset: 0.5 * right(model, subset))
+    right = hoisearch.models.decomposition_coefficient
+    monkeypatch.setattr(hoisearch.models, "decomposition_coefficient", lambda *args: 0.5 * right(*args))
     code, out, err = run_cli(capsys, "verify", "--n", "4", "--h", "2")
     assert (code, err) == (1, "")
     lines = out.splitlines()

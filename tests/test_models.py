@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hoisearch import models
+from hoisearch import models, subsets
 from hoisearch.models import (
     DEFAULT_TOL,
     SectorSpace,
@@ -21,7 +21,6 @@ from hoisearch.models import (
     haar_orthogonal,
     interference_order,
     sign_flip_oracle,
-    slit_projector,
     coherence_completeness_defect,
     coherence_layout_defect,
     NumericError,
@@ -33,7 +32,7 @@ from hoisearch.search import (
     run_experiment,
     run_search,
 )
-from hoisearch.subsets import SlitSet, enumerate_sectors
+from hoisearch.subsets import EnumerationLimitError, SlitSet, enumerate_sectors
 
 from reference import (
     block_offsets,
@@ -43,12 +42,14 @@ from reference import (
     dense_completeness_defect,
     dense_orthogonality_defects,
     embed_density,
+    interference_order_from_subsets,
     lift_superoperator,
     lift_unitary_conjugation,
     projector_family,
     quantum_index,
     reflection_schedule,
     sector_tables,
+    slit_projector,
     slit_projector_from_subsets,
     unembed_density,
 )
@@ -782,10 +783,103 @@ def test_interference_order_detection():
 
 
 def test_interference_order_that_never_closes_is_a_numeric_error(monkeypatch):
-    right = models.slit_projector
-    monkeypatch.setattr(models, "slit_projector", lambda model, subset: 0.5 * right(model, subset))
+    # with true coefficients every block sums to 1 at h' = N, where c_N is 1
+    # on the full set only; halved ones are the one way to reach the branch
+    right = models.decomposition_coefficient
+    monkeypatch.setattr(models, "decomposition_coefficient", lambda *args: 0.5 * right(*args))
     with pytest.raises(NumericError, match="never closes"):
         interference_order(Model("quantum", 4))
+
+
+def _order_or_error(model):
+    """Both routes' answer on a model: the order, or the type of the error."""
+    answers = []
+    for route in (interference_order, interference_order_from_subsets):
+        try:
+            answers.append(route(model))
+        except (NumericError, IndexError) as exc:
+            answers.append(type(exc))
+    return answers
+
+
+def test_interference_order_equals_the_sum_over_slit_projectors():
+    models_up_to_6 = [Model("classical", n) for n in range(1, 7)] + [Model("quantum", n) for n in range(2, 7)]
+    models_up_to_6 += [Model("synthetic", n, h) for n in range(1, 7) for h in range(1, n + 1)]
+    models_up_to_6 += [Model("synthetic", n, 3, {1: 2, 2: 3, 3: 1}) for n in (3, 4, 6)]
+    for model in models_up_to_6:
+        assert interference_order(model) == interference_order_from_subsets(model) == model.order, model
+
+
+FAULT_MODELS = [
+    Model("classical", 4),
+    Model("quantum", 4),
+    Model("synthetic", 4, 2),
+    Model("synthetic", 5, 3),
+    Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1}),
+]
+
+
+def test_interference_order_equals_the_sum_over_slit_projectors_on_corrupt_tables(monkeypatch):
+    # the faults of the CLI tests: each single bit of `members` flipped, each
+    # row of it emptied (a block of no slit, inside every open set), and an
+    # `owner` entry past the blocks, on which both routes raise IndexError
+    members, owner = (SectorSpace.__dict__[name].func for name in ("members", "owner"))
+    fault = {}
+
+    def faulty_members(space):
+        table = members(space).copy()
+        if "bit" in fault:
+            table[fault["bit"]] ^= True
+        if "row" in fault:
+            table[fault["row"]] = False
+        return table
+
+    def faulty_owner(space):
+        blocks = owner(space).copy()
+        if "past" in fault:
+            blocks[-1] = len(members(space))
+        return blocks
+
+    monkeypatch.setattr(SectorSpace, "members", property(faulty_members))
+    monkeypatch.setattr(SectorSpace, "owner", property(faulty_owner))
+    orders = set()
+    for model in FAULT_MODELS:
+        shape = members(model.space).shape
+        faults = [{"bit": bit} for bit in np.ndindex(shape)]
+        faults += [{"row": row} for row in range(shape[0])] + [{"past": True}]
+        for fault_now in faults:
+            fault.clear()
+            fault.update(fault_now)
+            size_form, subset_sum = _order_or_error(model)
+            assert size_form == subset_sum, (model, fault_now)
+            orders.add(size_form)
+    # the faults reach every order past 1 and the IndexError
+    assert {2, 3, 4, 5, IndexError} <= orders
+
+
+def test_interference_order_builds_no_slit_set(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a SlitSet was built or a decomposition enumerated")
+
+    monkeypatch.setattr(SlitSet, "__post_init__", refuse)
+    for module in (subsets, models):
+        monkeypatch.setattr(module, "identity_decomposition", refuse, raising=False)
+    assert interference_order(Model("synthetic", 11, 11)) == 11
+    assert interference_order(Model("synthetic", 15, 4)) == 4
+    assert interference_order(Model("synthetic", 4, 3, {1: 2, 2: 3, 3: 1})) == 3
+
+
+def test_interference_order_past_the_exact_guard_builds_no_table(monkeypatch):
+    # the coefficients refuse N > MAX_UNIVERSE before a table is built, also
+    # at C(10^9, 4) sectors, whose M no array can hold
+    def refuse(_space):
+        raise AssertionError("a sector table was built")
+
+    for table in ("members", "owner"):
+        monkeypatch.setattr(SectorSpace, table, property(refuse))
+    for n in (31, 10**9):
+        with pytest.raises(EnumerationLimitError, match="exact-arithmetic guard"):
+            interference_order(Model("synthetic", n, 4))
 
 
 # ---------------------------------------------------------------------------
